@@ -43,12 +43,11 @@ let add t ~label ~control =
 
 let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id)
 
-let emit t j ~event data =
+let emit t j ?state ~event data =
   Mutex.protect t.lock (fun () ->
+    Option.iter (fun s -> j.state <- s) state;
     j.seq <- j.seq + 1;
     j.events <- (j.seq, event, data) :: j.events)
-
-let set_state t j state = Mutex.protect t.lock (fun () -> j.state <- state)
 
 let state t j = Mutex.protect t.lock (fun () -> j.state)
 

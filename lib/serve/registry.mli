@@ -37,11 +37,12 @@ val add : t -> label:string -> control:Engine.Pool.control -> job
 val find : t -> string -> job option
 val state : t -> job -> state
 val state_string : state -> string
-val set_state : t -> job -> state -> unit
 
-(** [emit t j ~event data] appends one event, stamping the next sequence
-    number. *)
-val emit : t -> job -> event:string -> Json.t -> unit
+(** [emit t j ?state ~event data] appends one event, stamping the next
+    sequence number.  With [~state], the job moves to that state in the same
+    critical section, so a reader that sees the new state also sees the
+    event: a stream that observes [Done] always finds the [done] frame. *)
+val emit : t -> job -> ?state:state -> event:string -> Json.t -> unit
 
 (** [events_after t j ~seq] — events with sequence number [> seq], oldest
     first. *)

@@ -240,8 +240,7 @@ let register_job t (spec : Job.spec) =
   in
   let on_start () =
     with_job (fun j ->
-      Registry.set_state t.registry j Registry.Running;
-      Registry.emit t.registry j ~event:"started"
+      Registry.emit t.registry j ~state:Registry.Running ~event:"started"
         (Json.Obj [ ("label", Json.String j.label) ]))
   in
   let on_progress (p : Pool.progress) =
@@ -259,11 +258,12 @@ let register_job t (spec : Job.spec) =
   let j = Registry.add t.registry ~label:spec.Job.label ~control in
   jref := Some j;
   let on_done (r : Job.result) =
-    Registry.set_state t.registry j (Registry.Done r);
     Mutex.protect t.lock (fun () ->
       t.completed <- t.completed + 1;
       t.job_metrics <- Obs.Metrics.merge [ t.job_metrics; r.Job.metrics ]);
-    Registry.emit t.registry j ~event:"done" (Job.to_json r);
+    (* state and frame in one step: a stream that saw [Done] before the
+       frame existed would close without it *)
+    Registry.emit t.registry j ~state:(Registry.Done r) ~event:"done" (Job.to_json r);
     logf t "job %s done: %s (%.3fs)" j.id (Job.exit_class r.Job.outcome) r.Job.duration
   in
   (j, control, on_done)

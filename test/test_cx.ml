@@ -79,6 +79,152 @@ let prop_interning_idempotent =
       let b = Ct.lookup t (Ct.to_cx a) in
       a.Ct.id = b.Ct.id)
 
+(* Differential oracle: the in-place table against the list-based probe it
+   replaced ([Cx_table_ref]).  Both see the same stream of lookups and
+   rebuilds; every lookup must return the same id and bit-identical
+   components, and the sizes must agree throughout.  The stream is biased
+   towards the places a probe rewrite can go wrong: magnitudes within a few
+   tol of a power of two (the exponent skip), components on grid-cell
+   half-boundaries (the neighbour cells), jittered near-duplicates of
+   earlier values (first-match order within and across cells), and
+   rebuilds with shuffled survivor subsets (cell order after GC). *)
+module Ref = Cx_table_ref
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let differential_stream ~tol ~seed ~ops =
+  let rng = Random.State.make [| seed |] in
+  let t = Ct.create ~tol () and r = Ref.create ~tol () in
+  let seen = Hashtbl.create 64 in
+  let history = ref [||] and n_hist = ref 0 in
+  let remember z =
+    if !n_hist = Array.length !history then
+      history := Array.append !history (Array.make (max 16 !n_hist) Cx.zero);
+    !history.(!n_hist) <- z;
+    incr n_hist
+  in
+  let sign () = if Random.State.bool rng then 1.0 else -1.0 in
+  let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let exponent () = Random.State.int rng 80 - 40 in
+  (* a dominant component of magnitude [mag], the other smaller, in either
+     position *)
+  let place mag =
+    let other = sign () *. mag *. Random.State.float rng 1.0 in
+    if Random.State.bool rng then Cx.make (sign () *. mag) other
+    else Cx.make other (sign () *. mag)
+  in
+  let near_power_of_two () =
+    (* |mag / 2^e - 1| up to 5 tol, plus a few ulps either side of the
+       4 tol skip margin *)
+    let f =
+      match Random.State.int rng 3 with
+      | 0 -> 1.0 +. (uniform (-5.0) 5.0 *. tol)
+      | 1 -> 1.0 -. (4.0 *. tol) +. (float_of_int (Random.State.int rng 17 - 8) *. epsilon_float)
+      | _ -> 1.0 +. (4.0 *. tol) +. (float_of_int (Random.State.int rng 17 - 8) *. epsilon_float)
+    in
+    place (Float.ldexp f (exponent ()))
+  in
+  let half_boundary () =
+    let z = place (Float.ldexp (uniform 0.5 1.0) (exponent ())) in
+    let m = Float.max (Float.abs z.Cx.re) (Float.abs z.Cx.im) in
+    let s = Float.ldexp 1.0 (snd (Float.frexp m)) *. tol in
+    let snap x =
+      let jitter = float_of_int (Random.State.int rng 5 - 2) *. 1e-3 in
+      (Float.round (x /. s) +. 0.5 +. jitter) *. s
+    in
+    if Random.State.bool rng then Cx.make (snap z.Cx.re) z.Cx.im
+    else Cx.make (snap z.Cx.re) (snap z.Cx.im)
+  in
+  let near_duplicate () =
+    if !n_hist = 0 then near_power_of_two ()
+    else
+      let z = !history.(Random.State.int rng !n_hist) in
+      let d () = uniform (-2.0) 2.0 *. tol in
+      Cx.make (z.Cx.re *. (1.0 +. d ())) (z.Cx.im *. (1.0 +. d ()))
+  in
+  let special () =
+    match Random.State.int rng 4 with
+    | 0 -> Cx.zero
+    | 1 -> Cx.make (1.0 +. (uniform (-2.0) 2.0 *. tol)) (uniform (-1.0) 1.0 *. tol)
+    | 2 -> Cx.make 1e-260 (-1e-255)
+    | _ -> Cx.make (uniform (-2.0) 2.0) (uniform (-2.0) 2.0)
+  in
+  let ok = ref true in
+  let check_lookup z =
+    let a = Ct.lookup t z and b = Ref.lookup r z in
+    if not (a.Ct.id = b.Ref.id && same_float a.Ct.re b.Ref.re && same_float a.Ct.im b.Ref.im)
+    then ok := false;
+    if a.Ct.id = b.Ref.id then Hashtbl.replace seen a.Ct.id (a, b);
+    remember z
+  in
+  let rebuild () =
+    let live = Hashtbl.fold (fun _ p acc -> p :: acc) seen [] |> Array.of_list in
+    (* Fisher-Yates, then keep a random prefix *)
+    for i = Array.length live - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = live.(i) in
+      live.(i) <- live.(j);
+      live.(j) <- x
+    done;
+    let keep = Array.sub live 0 (Random.State.int rng (Array.length live + 1)) in
+    Ct.rebuild t (Array.to_list (Array.map fst keep));
+    Ref.rebuild r (Array.to_list (Array.map snd keep))
+  in
+  for _ = 1 to ops do
+    (match Random.State.int rng 100 with
+     | k when k < 30 -> check_lookup (near_power_of_two ())
+     | k when k < 55 -> check_lookup (half_boundary ())
+     | k when k < 90 -> check_lookup (near_duplicate ())
+     | k when k < 98 -> check_lookup (special ())
+     | _ -> rebuild ());
+    if Ct.size t <> Ref.size r then ok := false
+  done;
+  !ok
+
+(* tol = 0.4 is the one tolerance at which both neighbouring exponents can
+   hold a match (that needs 2 (1 - tol)^2 < 1), so only it observes the
+   e+1-before-e-1 order *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"interning matches the list-based reference" ~count:200
+    QCheck.(pair (oneofl [ 1e-10; 1e-6; 1e-3; 0.05; 0.4 ]) (int_bound 1_000_000))
+    (fun (tol, seed) -> differential_stream ~tol ~seed ~ops:600)
+
+(* The exponent skip must never hide a match.  A value stored at 2^e lives
+   under exponent e+1; a lookup of 2^e (1 - k tol) lives under e and
+   matches it exactly when k <= 1.  A value stored just below 2^(e-1)
+   lives under e-1; a lookup of 2^(e-1) (1 + k tol) lives under e and, the
+   scale being its own magnitude, matches it when k <= 1 / (1 - tol).
+   Every case must also agree with the reference table. *)
+let test_exponent_skip_bound () =
+  List.iter
+    (fun tol ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun e ->
+              let up_stored = Cx.make (Float.ldexp 1.0 e) 0.0 in
+              let up_query = Cx.make (Float.ldexp (1.0 -. (k *. tol)) e) 0.0 in
+              let down_stored = Cx.make 0.0 (Float.ldexp (Float.pred 1.0) (e - 1)) in
+              let down_query = Cx.make 0.0 (Float.ldexp (1.0 +. (k *. tol)) (e - 1)) in
+              List.iter
+                (fun (dir, stored, query, k_max) ->
+                  let t = Ct.create ~tol () and r = Ref.create ~tol () in
+                  let s = Ct.lookup t stored in
+                  ignore (Ref.lookup r stored);
+                  let q = Ct.lookup t query and q' = Ref.lookup r query in
+                  let name = Printf.sprintf "%s tol=%g k=%g e=%d" dir tol k e in
+                  Alcotest.(check int) (name ^ ": same as reference") q'.Ref.id q.Ct.id;
+                  if k <= 0.999 *. k_max then
+                    Alcotest.(check int) (name ^ ": matched across exponents") s.Ct.id q.Ct.id;
+                  if k >= 1.001 *. k_max then
+                    Alcotest.(check bool) (name ^ ": distinct") true (s.Ct.id <> q.Ct.id))
+                [ ("up", up_stored, up_query, 1.0)
+                ; ("down", down_stored, down_query, 1.0 /. (1.0 -. tol))
+                ])
+            [ -30; -1; 0; 3 ])
+        [ 0.0; 0.5; 0.999; 1.001; 2.0; 3.99; 4.0; 4.01; 5.0 ])
+    [ 1e-10; 1e-6; 1e-3; 0.05 ]
+
 let prop_mul_commutes =
   QCheck.Test.make ~name:"multiplication commutes" ~count:500
     QCheck.(
@@ -107,6 +253,8 @@ let suite =
   ; Alcotest.test_case "table works at tiny scales" `Quick test_table_relative_scale
   ; Alcotest.test_case "table zero/one handling" `Quick test_table_zero_one
   ; Util.qtest prop_interning_idempotent
+  ; Alcotest.test_case "table exponent skip keeps matches" `Quick test_exponent_skip_bound
+  ; Util.qtest prop_matches_reference
   ; Util.qtest prop_mul_commutes
   ; Util.qtest prop_abs_multiplicative
   ]

@@ -386,6 +386,30 @@ let test_e2e_sse_stream () =
            (fun (e : Sse.event) -> match e.Sse.id with Some i -> i > 2 | None -> false)
            resumed))
 
+(* Store hits finish within microseconds of submission, so a stream opened
+   right after the POST races the job's completion.  Every such stream must
+   end with the [done] frame on its first read: the job's terminal state and
+   its frame are published together, never the state alone. *)
+let test_e2e_done_frame_on_store_hits () =
+  let cache = Cache_store.Store.in_memory () in
+  with_server
+    { Server.default_config with Server.workers = 2; cache = Some cache }
+    (fun server ->
+      let port = Server.port server in
+      let body = inline_job 4 in
+      ignore (wait_done ~port (post ~port "/v1/jobs" body));
+      for i = 1 to 32 do
+        let id = job_id (post ~port "/v1/jobs" body) in
+        let reply = get ~port (Printf.sprintf "/v1/jobs/%s/events" id) in
+        let dones =
+          List.filter
+            (fun (e : Sse.event) -> e.Sse.event = Some "done")
+            (Sse.decode reply.rbody)
+        in
+        Alcotest.(check int) (Printf.sprintf "resubmission %d: one done frame" i) 1
+          (List.length dones)
+      done)
+
 let test_e2e_backpressure_and_cancel () =
   with_server
     { Server.default_config with
@@ -516,6 +540,8 @@ let suite =
   ; Alcotest.test_case "e2e: submit, poll, verdict parity, warm cache" `Slow
       test_e2e_submit_poll_verdict
   ; Alcotest.test_case "e2e: SSE progress stream" `Slow test_e2e_sse_stream
+  ; Alcotest.test_case "e2e: store hits stream their done frame" `Slow
+      test_e2e_done_frame_on_store_hits
   ; Alcotest.test_case "e2e: backpressure 429 and cancellation" `Slow
       test_e2e_backpressure_and_cancel
   ; Alcotest.test_case "e2e: per-client rate limit" `Quick test_e2e_rate_limit
