@@ -5,7 +5,6 @@
      fig4      the extraction branching tree of the running example
      ablation  design-choice studies: QPE generator alignment, extraction
                pruning thresholds, parallel extraction, checking strategies
-     backends  DD backend A/B: every registered backend over Table 1
      micro     Bechamel micro-benchmarks (one per table/figure)
 
    Run everything:       dune exec bench/main.exe
@@ -36,19 +35,6 @@ let dd_config : Dd.Pkg.config option ref = ref None
    build-gate-DD-then-multiply path; the dedicated "kernels" section always
    runs both paths regardless of this flag. *)
 let use_kernels = ref true
-
-(* --backend NAME runs every section under that DD backend (a
-   [Dd.Registry] name); the dedicated "backends" section always A/Bs every
-   registered backend regardless of this flag. *)
-let backend_name = ref Dd.Registry.default
-
-let backend_module () =
-  match Dd.Registry.find !backend_name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "unknown backend %S (available: %s)@." !backend_name
-      (String.concat ", " (Dd.Registry.names ()));
-    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
@@ -84,9 +70,6 @@ let print_header () =
 (* One Table 1 row: functional verification via the Section 4 scheme and,
    when requested, the Section 5 extraction against plain simulation. *)
 let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
-  let module B = (val backend_module () : Dd.Backend.S) in
-  let module V = Qcec.Verify.Make (B) in
-  let module Sim = Qsim.Dd_sim.Make (B) in
   let m0 = Obs.Metrics.snapshot () in
   let static = pair.Pair.static_circuit and dyn = pair.Pair.dynamic_circuit in
   (* static-analyzer overhead, reported as the analysis.lint span in the
@@ -100,7 +83,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let t_trans, t_ver, equivalent =
     if verify then begin
       let r =
-        V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
+        Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
           ~use_kernels:!use_kernels static dyn
       in
       if not r.Qcec.Verify.equivalent then
@@ -119,7 +102,8 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let t_extract, t_sim, distributions_equal =
     if extract then begin
       let r =
-        V.distribution ?dd_config:!dd_config ~use_kernels:!use_kernels dyn static
+        Qcec.Verify.distribution ?dd_config:!dd_config ~use_kernels:!use_kernels dyn
+          static
       in
       if not r.Qcec.Verify.distributions_equal then
         report_failure "%s: distributions differ!@." static.Circ.name;
@@ -128,9 +112,9 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
       , Some r.Qcec.Verify.distributions_equal )
     end
     else begin
-      let p = B.Pkg.create ?config:!dd_config () in
+      let p = Dd.Pkg.create ?config:!dd_config () in
       let t0 = Qcec.Verify.now () in
-      ignore (Sim.simulate p static);
+      ignore (Qsim.Dd_sim.simulate p static);
       (None, Some (Qcec.Verify.now () -. t0), None)
     end
   in
@@ -165,9 +149,6 @@ let kernels_json : Obs.Json.t option ref = ref None
 
 (* filled by the cache section, emitted as the "cache" field *)
 let cache_json : Obs.Json.t option ref = ref None
-
-(* filled by the backends section, emitted as the "backends" field *)
-let backends_json : Obs.Json.t option ref = ref None
 
 (* filled by the lookahead section, emitted as the "lookahead" field *)
 let lookahead_json : Obs.Json.t option ref = ref None
@@ -222,9 +203,6 @@ let write_json ~mode path =
   let cache =
     match !cache_json with None -> [] | Some j -> [ ("cache", j) ]
   in
-  let backends =
-    match !backends_json with None -> [] | Some j -> [ ("backends", j) ]
-  in
   let lookahead =
     match !lookahead_json with None -> [] | Some j -> [ ("lookahead", j) ]
   in
@@ -235,13 +213,11 @@ let write_json ~mode path =
     Obs.Json.Obj
       ([ ("schema", Obs.Json.String "qcec-bench/v1")
        ; ("mode", Obs.Json.String mode)
-       ; ("backend", Obs.Json.String !backend_name)
        ; ("table1", Obs.Json.List table1)
        ]
       @ scaling
       @ kernels
       @ cache
-      @ backends
       @ lookahead
       @ portfolio
       @ [ ("failures", Obs.Json.Int !failures)
@@ -431,7 +407,8 @@ let ablation_strategies () =
         (Qcec.Strategy.name strategy) r.Qcec.Verify.equivalent r.Qcec.Verify.t_check
         r.Qcec.Verify.peak_nodes)
     [ Qcec.Strategy.Construction; Qcec.Strategy.Sequential; Qcec.Strategy.Proportional
-    ; Qcec.Strategy.Lookahead; Qcec.Strategy.Simulation 16 ]
+    ; Qcec.Strategy.Lookahead
+    ; Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 16 } ]
 
 (* The paper's Section 5 argues the extraction scheme beats both obvious
    alternatives: stochastic sampling (too many runs for statistical
@@ -575,8 +552,8 @@ let scaling ~full ~quick () =
   let specs =
     List.mapi
       (fun index (pair : Pair.t) ->
-        Engine.Job.circuits ~perm:pair.Pair.dyn_to_static ~backend:!backend_name
-          ~index pair.Pair.static_circuit pair.Pair.dynamic_circuit)
+        Engine.Job.circuits ~perm:pair.Pair.dyn_to_static ~index pair.Pair.static_circuit
+          pair.Pair.dynamic_circuit)
       pairs
   in
   let run workers =
@@ -812,102 +789,6 @@ let cache_section ~full ~quick () =
    with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Backends: every registered DD backend over the Table 1 workload     *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B leg across the {!Dd.Registry}: every registered backend verifies
-   the same Table-1-style pairs through its own [Qcec.Verify.Make]
-   instance.  Verdicts must be identical across backends, and each
-   backend must actually exercise its direct kernels on its leg
-   ([dd.kernel.calls] > 0) — a backend silently falling back to the
-   generic path is a failure, not a slowdown.  The wall-clock columns are
-   the honest cost comparison between the hash-consed classic package and
-   the packed-array layout. *)
-let backends_section ~full ~quick () =
-  pr "@.== Backends: DD backend A/B over the Table 1 workload ==@.@.";
-  let pairs =
-    let bv n = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n) in
-    let qft n = Algorithms.Qft.make n in
-    let qpe m =
-      Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m
-    in
-    if quick then List.map bv [ 16; 24 ] @ List.map qft [ 8; 9 ] @ List.map qpe [ 8; 9 ]
-    else if full then
-      List.map bv [ 64; 96; 128 ] @ List.map qft [ 11; 12; 13 ] @ List.map qpe [ 12; 13; 14 ]
-    else
-      List.map bv [ 32; 48 ] @ List.map qft [ 9; 10 ] @ List.map qpe [ 10; 11 ]
-  in
-  (* the kernel-usage gate below needs live counters even without --json *)
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  let run_leg name =
-    let module B =
-      (val (match Dd.Registry.find name with
-            | Some b -> b
-            | None -> assert false (* names come from the registry itself *))
-        : Dd.Backend.S)
-    in
-    let module V = Qcec.Verify.Make (B) in
-    let m0 = Obs.Metrics.snapshot () in
-    let t0 = Qcec.Verify.now () in
-    let check = ref 0.0 in
-    let verdicts =
-      List.map
-        (fun (pair : Pair.t) ->
-          let r =
-            V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-              ~use_kernels:true pair.Pair.static_circuit pair.Pair.dynamic_circuit
-          in
-          check := !check +. r.Qcec.Verify.t_check;
-          if not r.Qcec.Verify.equivalent then
-            report_failure "backends: %s NOT equivalent under %s!@."
-              pair.Pair.static_circuit.Circ.name name;
-          (r.Qcec.Verify.equivalent, r.Qcec.Verify.exactly_equal))
-        pairs
-    in
-    let dt = Qcec.Verify.now () -. t0 in
-    (verdicts, dt, !check, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
-  in
-  let legs = List.map (fun name -> (name, run_leg name)) (Dd.Registry.names ()) in
-  Obs.Metrics.set_enabled was_enabled;
-  let verdicts_equal =
-    match legs with
-    | [] -> true
-    | (_, (reference, _, _, _)) :: rest ->
-      List.for_all (fun (_, (v, _, _, _)) -> v = reference) rest
-  in
-  if not verdicts_equal then
-    report_failure "backends: verdicts differ across DD backends!@.";
-  pr "%10s %12s %12s %14s@." "backend" "wall [s]" "check [s]" "kernel calls";
-  List.iter
-    (fun (name, (_, dt, check, m)) ->
-      let kernel_calls = Obs.Metrics.find m "dd.kernel.calls" in
-      if kernel_calls = 0 then
-        report_failure "backends: %s recorded no kernel calls!@." name;
-      pr "%10s %12.4f %12.4f %14d@." name dt check kernel_calls)
-    legs;
-  pr "@.%d functional checks per backend; verdicts identical: %b@."
-    (List.length pairs) verdicts_equal;
-  backends_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("verdicts_equal", Obs.Json.Bool verdicts_equal)
-         ; ( "legs"
-           , Obs.Json.List
-               (List.map
-                  (fun (name, (_, dt, check, m)) ->
-                    Obs.Json.Obj
-                      [ ("backend", Obs.Json.String name)
-                      ; ("wall_seconds", Obs.Json.Float dt)
-                      ; ("check_seconds", Obs.Json.Float check)
-                      ; ("kernel_calls", Obs.Json.Int (Obs.Metrics.find m "dd.kernel.calls"))
-                      ; ("metrics", Obs.Metrics.to_json m)
-                      ])
-                  legs) )
-         ])
-
-(* ------------------------------------------------------------------ *)
 (* Lookahead: analysis-driven scheduling vs proportional alternation   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1082,7 +963,7 @@ let portfolio_section ~full ~quick () =
         in
         let race =
           Qcec.Verify.portfolio
-            ~candidates:(List.map (fun s -> (s, !backend_name)) candidates)
+            ~candidates
             ~seed ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
             ~use_kernels:!use_kernels a b
         in
@@ -1270,10 +1151,6 @@ let () =
     | "--no-kernels" :: rest ->
       use_kernels := false;
       extract_opts acc rest
-    | "--backend" :: name :: rest ->
-      backend_name := name;
-      ignore (backend_module ()) (* unknown names exit 2 before any work *);
-      extract_opts acc rest
     | x :: rest -> extract_opts (x :: acc) rest
     | [] -> List.rev acc
   in
@@ -1288,7 +1165,6 @@ let () =
     | "scaling" -> scaling ~full ~quick ()
     | "kernels" -> kernels_section ~full ~quick ()
     | "cache" -> cache_section ~full ~quick ()
-    | "backends" -> backends_section ~full ~quick ()
     | "lookahead" -> lookahead_section ~full ~quick ()
     | "portfolio" -> portfolio_section ~full ~quick ()
     | "micro" -> micro ()
@@ -1299,14 +1175,13 @@ let () =
       scaling ~full ~quick ();
       kernels_section ~full ~quick ();
       cache_section ~full ~quick ();
-      backends_section ~full ~quick ();
       lookahead_section ~full ~quick ();
       portfolio_section ~full ~quick ();
       micro ()
     | other ->
       Fmt.epr
         "unknown section %S (expected \
-         table1|fig4|ablation|scaling|kernels|cache|backends|lookahead|portfolio|\
+         table1|fig4|ablation|scaling|kernels|cache|lookahead|portfolio|\
          micro|all)@."
         other;
       exit 2

@@ -103,7 +103,7 @@ let portfolio_width_arg =
 (* Compose the race field: the most dynamic classification of the pair
    gates the candidate set (simulative candidates cannot decide dynamic
    circuits), the cost profiles order it. *)
-let portfolio_candidates ~width ~backend a b =
+let portfolio_candidates ~width a b =
   let kind =
     let k c = (Analysis.classify c).Analysis.Classify.kind in
     let rank = function
@@ -116,7 +116,7 @@ let portfolio_candidates ~width ~backend a b =
   Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
     Analysis.Classify.compose_portfolio ~width kind (Analysis.Cost.profile a)
       (Analysis.Cost.profile b))
-  |> List.map (fun c -> (Qcec.Strategy.of_candidate c, backend))
+  |> List.map Qcec.Strategy.of_candidate
 
 let pp_portfolio_report ppf (r : Qcec.Verify.portfolio_result) =
   Fmt.pf ppf "@[<v>portfolio race: %d candidates, winner %s (#%d%s) in %.4fs"
@@ -151,7 +151,6 @@ let portfolio_json (r : Qcec.Verify.portfolio_result) =
                Obs.Json.Obj
                  [ ( "strategy"
                    , Obs.Json.String (Qcec.Strategy.name c.Qcec.Verify.c_strategy) )
-                 ; ("backend", Obs.Json.String c.Qcec.Verify.c_backend)
                  ; ( "outcome"
                    , Obs.Json.String
                        (Fmt.str "%a" Qcec.Verify.pp_candidate_outcome
@@ -199,26 +198,6 @@ let no_kernels_arg =
           "Apply gates via the generic build-gate-DD-then-multiply path \
            instead of the direct gate-application kernels (A/B escape \
            hatch; verdicts are bit-identical either way)")
-
-let backend_arg =
-  Arg.(
-    value
-    & opt string Dd.Registry.default
-    & info [ "backend" ] ~docv:"NAME"
-        ~doc:
-          "DD backend: $(b,classic) (hash-consed node records, the \
-           default) or $(b,packed) (packed int-array nodes).  Both build \
-           isomorphic diagrams and produce identical verdicts; they \
-           differ only in memory layout and speed")
-
-(* exit code 2 = usage error, consistent with the other input failures *)
-let resolve_backend name =
-  match Dd.Registry.find name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "qcec: unknown backend %S (available: %s)@." name
-      (String.concat ", " (Dd.Registry.names ()));
-    exit 2
 
 let dd_config_of cache_cap gc_threshold : Dd.Pkg.config option =
   match (cache_cap, gc_threshold) with
@@ -313,16 +292,14 @@ let open_store ~cache_dir ~no_result_cache =
 
 let check_cmd =
   let run file_a file_b strategy scheme perm quiet stats_json cache_cap
-      gc_threshold no_kernels backend width =
+      gc_threshold no_kernels width =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
     let a = load file_a and b = load file_b in
     let r, portfolio =
       match strategy, scheme with
       | Strat_portfolio, None ->
-        let candidates = portfolio_candidates ~width ~backend a b in
+        let candidates = portfolio_candidates ~width a b in
         let pr =
           try
             Qcec.Verify.portfolio ~candidates ?perm ?dd_config
@@ -342,7 +319,7 @@ let check_cmd =
         let strategy = resolve_scheme ~strategy ~scheme a b in
         let r =
           try
-            V.functional ~strategy ?perm ?dd_config
+            Qcec.Verify.functional ~strategy ?perm ?dd_config
               ~use_kernels:(not no_kernels) a b
           with Qcec.Strategy.Non_unitary op -> report_non_unitary op
         in
@@ -365,7 +342,6 @@ let check_cmd =
          ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
          ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
          ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
-         ; ("backend", Obs.Json.String backend)
          ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
          ]
         @
@@ -408,20 +384,18 @@ let check_cmd =
     Term.(
       const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ quiet
       $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ no_kernels_arg
-      $ backend_arg $ portfolio_width_arg)
+      $ portfolio_width_arg)
 
 (* -- distribution ------------------------------------------------------ *)
 
 let distribution_cmd =
   let run dyn_file static_file cutoff domains eps stats_json cache_cap gc_threshold
-      no_kernels backend =
+      no_kernels =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
     let dyn = load dyn_file and static = load static_file in
     let r =
-      V.distribution ~eps ~cutoff ~domains ?dd_config
+      Qcec.Verify.distribution ~eps ~cutoff ~domains ?dd_config
         ~use_kernels:(not no_kernels) dyn static
     in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
@@ -465,25 +439,22 @@ let distribution_cmd =
           (extracted with the Section 5 scheme) against a static reference")
     Term.(
       const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg
-      $ cache_cap_arg $ gc_threshold_arg $ no_kernels_arg $ backend_arg)
+      $ cache_cap_arg $ gc_threshold_arg $ no_kernels_arg)
 
 (* -- extract ------------------------------------------------------------ *)
 
 let extract_cmd =
-  let run file cutoff tree top stats_json cache_cap gc_threshold no_kernels
-      backend =
+  let run file cutoff tree top stats_json cache_cap gc_threshold no_kernels =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module E = Qsim.Extraction.Make (B) in
     let use_kernels = not no_kernels in
     let c = load file in
     if tree then begin
       Fmt.pr "%a@." Qsim.Extraction.pp_tree
-        (E.tree ~cutoff ~use_kernels ?dd_config c)
+        (Qsim.Extraction.tree ~cutoff ~use_kernels ?dd_config c)
     end
     else begin
-      let r = E.run ~cutoff ~use_kernels ?dd_config c in
+      let r = Qsim.Extraction.run ~cutoff ~use_kernels ?dd_config c in
       Fmt.pr "%a@." Qcec.Distribution.pp
         (Qcec.Distribution.most_probable ~count:top r.Qsim.Extraction.distribution);
       Fmt.pr "(%d leaves, %d branch points, %d pruned, mass %.6f)@."
@@ -516,7 +487,7 @@ let extract_cmd =
        ~doc:"Extract the measurement-outcome distribution of a dynamic circuit")
     Term.(
       const run $ file $ cutoff $ tree $ top $ stats_json_arg $ cache_cap_arg
-      $ gc_threshold_arg $ no_kernels_arg $ backend_arg)
+      $ gc_threshold_arg $ no_kernels_arg)
 
 (* -- transform ------------------------------------------------------------ *)
 
@@ -730,12 +701,9 @@ let analyze_cmd =
    restores the automatic Section 4 routing of [check]. *)
 let verify_cmd =
   let run file_a file_b strategy scheme perm transform quiet stats_json
-      cache_cap gc_threshold no_kernels cache_dir no_result_cache backend
-      width =
+      cache_cap gc_threshold no_kernels cache_dir no_result_cache width =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
     let store = open_store ~cache_dir ~no_result_cache in
     let load_located path =
       try Circuit.Qasm3_parser.parse_any_file_located path with
@@ -779,7 +747,7 @@ let verify_cmd =
     let r, portfolio =
       match strategy, scheme with
       | Strat_portfolio, None ->
-        let candidates = portfolio_candidates ~width ~backend a b in
+        let candidates = portfolio_candidates ~width a b in
         let pr =
           try
             Qcec.Verify.portfolio ~candidates ?perm
@@ -804,7 +772,7 @@ let verify_cmd =
         let strategy = resolve_scheme ~strategy ~scheme a b in
         let r =
           try
-            V.functional ~strategy ?perm
+            Qcec.Verify.functional ~strategy ?perm
               ~on_dynamic:(if transform then `Transform else `Reject)
               ?dd_config ~use_kernels:(not no_kernels) ?cache:store a b
           with
@@ -837,7 +805,6 @@ let verify_cmd =
          ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
          ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
          ; ("cached", Obs.Json.Bool r.Qcec.Verify.cached)
-         ; ("backend", Obs.Json.String backend)
          ; ( "profiles"
            , Obs.Json.List
                (List.map
@@ -897,7 +864,7 @@ let verify_cmd =
     Term.(
       const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform
       $ quiet $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg
-      $ no_kernels_arg $ cache_dir_arg $ no_result_cache_arg $ backend_arg
+      $ no_kernels_arg $ cache_dir_arg $ no_result_cache_arg
       $ portfolio_width_arg)
 
 (* -- batch ------------------------------------------------------------ *)
@@ -909,12 +876,10 @@ let verify_cmd =
 let batch_cmd =
   let run inputs workers out summary strategy timeout retries seed node_limit
       no_lint quiet cache_cap gc_threshold no_kernels cache_dir no_result_cache
-      backend portfolio =
+      portfolio =
     (* per-job metric deltas are part of the result schema, so collection
        is on for batch runs (flipped before any worker spawns) *)
     Obs.Metrics.set_enabled true;
-    (* validate up front so a typo fails before any parsing or spawning *)
-    Option.iter (fun b -> ignore (resolve_backend b)) backend;
     let usage msg =
       Fmt.epr "qcec batch: %s@." msg;
       exit 2
@@ -950,8 +915,6 @@ let batch_cmd =
                | Some s0 -> Some (s0 + s.Engine.Job.index)
                | None -> s.Engine.Job.seed)
           ; kernels = s.Engine.Job.kernels && not no_kernels
-          ; backend =
-              (match backend with Some b -> b | None -> s.Engine.Job.backend)
           ; portfolio =
               (match portfolio with
                | Some 0 -> None
@@ -1110,15 +1073,6 @@ let batch_cmd =
       value & flag
       & info [ "no-lint" ] ~doc:"skip the per-job lint pre-flight")
   in
-  let backend =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "backend" ] ~docv:"NAME"
-          ~doc:
-            "Run every job on this DD backend (classic or packed), \
-             overriding manifest defaults and per-job settings")
-  in
   let portfolio =
     Arg.(
       value
@@ -1146,7 +1100,7 @@ let batch_cmd =
       const run $ inputs $ workers $ out $ summary $ strategy $ timeout
       $ retries $ seed $ node_limit $ no_lint $ quiet $ cache_cap_arg
       $ gc_threshold_arg $ no_kernels_arg $ cache_dir_arg $ no_result_cache_arg
-      $ backend $ portfolio)
+      $ portfolio)
 
 (* -- stats ------------------------------------------------------------ *)
 

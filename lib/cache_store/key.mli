@@ -12,7 +12,7 @@
     verdicts are valid either way. *)
 
 type config =
-  { strategy : string  (** canonical name, e.g. [proportional], [simulation(16)] *)
+  { strategy : string  (** canonical name, e.g. [proportional], [stimuli(basis,16)] *)
   ; transform : bool  (** dynamic circuits transformed ([true]) or rejected *)
   ; perm : int array option  (** explicit output permutation, if any *)
   ; seed : int option  (** stimuli seed for simulative strategies *)

@@ -37,22 +37,20 @@ type t =
           the smaller one, with the proportional order as final tie-break.
           A window bound keeps the schedule near the proportional position,
           so a misleading profile cannot starve one side *)
-  | Simulation of int
-      (** simulate both circuits on that many random computational basis
-          states (seeded, reproducible) and compare state fidelities *)
   | Random_stimuli of
       { kind : stimuli
       ; shots : int
       }
-      (** like [Simulation] but with a choice of stimuli; [Product] and
-          [Entangled] stimuli catch discrepancies a basis state can miss
-          (e.g. pure phase differences on superpositions) *)
+      (** simulate both circuits on [shots] random input states of the
+          given kind (seeded, reproducible) and compare state fidelities;
+          [Product] and [Entangled] stimuli catch discrepancies a basis
+          state can miss (e.g. pure phase differences on superpositions) *)
 
 type outcome =
   { equivalent : bool
   ; equivalent_up_to_phase : bool
         (** [Construction]/[Proportional]: equality with global-phase
-            freedom; [Simulation]: same as [equivalent] (fidelity is
+            freedom; [Random_stimuli]: same as [equivalent] (fidelity is
             phase-blind) *)
   ; peak_nodes : int
         (** largest intermediate matrix/vector DD observed during the
@@ -64,8 +62,9 @@ val default : t
 val name : t -> string
 
 (** [of_string s] parses what {!name} prints (modulo the shot syntax):
-    the bare strategy names, [simulation:<shots>], and
-    [stimuli:<basis|product|entangled>:<shots>]. *)
+    the bare strategy names and
+    [stimuli:<basis|product|entangled>:<shots>].  [simulation:<shots>] is
+    accepted as an alias of [stimuli:basis:<shots>]. *)
 val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
@@ -80,29 +79,17 @@ val of_candidate : Analysis.Cost.candidate -> t
     transformation first. *)
 exception Non_unitary of Circuit.Op.t
 
-module Make (B : Dd.Backend.S) : sig
-  (** [check ?seed p strategy g g'] compares two unitary circuits over the
-      same number of qubits (measurements and barriers are ignored).
-      [seed] perturbs the (otherwise instance-shape-derived)
-      random-stimuli state of the simulative strategies, so batch runs can
-      derive a distinct, reproducible stream per job from one
-      manifest-level seed; it is ignored by the exact strategies.
-      [use_kernels] (default [true]) routes every gate application through
-      the direct kernels ([Mat.apply_gate] and friends); [false] is the
-      escape hatch onto the generic build-gate-DD-then-multiply path, for
-      A/B comparison.  Raises [Invalid_argument] on register mismatch and
-      {!Non_unitary} on non-unitary operations. *)
-  val check :
-       ?seed:int
-    -> ?use_kernels:bool
-    -> B.pkg
-    -> t
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> outcome
-end
-
-(** {!Make}[.check] over the classic backend — the historical API. *)
+(** [check ?seed p strategy g g'] compares two unitary circuits over the
+    same number of qubits (measurements and barriers are ignored).
+    [seed] perturbs the (otherwise instance-shape-derived)
+    random-stimuli state of the simulative strategies, so batch runs can
+    derive a distinct, reproducible stream per job from one
+    manifest-level seed; it is ignored by the exact strategies.
+    [use_kernels] (default [true]) routes every gate application through
+    the direct kernels ([Mat.apply_gate] and friends); [false] is the
+    escape hatch onto the generic build-gate-DD-then-multiply path, for
+    A/B comparison.  Raises [Invalid_argument] on register mismatch and
+    {!Non_unitary} on non-unitary operations. *)
 val check :
      ?seed:int
   -> ?use_kernels:bool

@@ -62,47 +62,6 @@ type approximate_result =
   ; t_check : float
   }
 
-(** {1 Backend-generic flows}
-
-    All result types above are defined outside the functor, so results
-    from different backends are interchangeable (the engine relies on
-    this to dispatch per job at runtime via {!Dd.Registry}). *)
-
-module Make (B : Dd.Backend.S) : sig
-  val functional :
-       ?strategy:Strategy.t
-    -> ?perm:int array
-    -> ?auto_align:bool
-    -> ?on_dynamic:[ `Transform | `Reject ]
-    -> ?dd_config:Dd.Backend.config
-    -> ?seed:int
-    -> ?use_kernels:bool
-    -> ?cache:Cache_store.Store.t
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> functional_result
-
-  val distribution :
-       ?eps:float
-    -> ?cutoff:float
-    -> ?domains:int
-    -> ?dd_config:Dd.Backend.config
-    -> ?use_kernels:bool
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> distribution_result
-
-  val approximate :
-       ?threshold:float
-    -> ?perm:int array
-    -> ?auto_align:bool
-    -> ?dd_config:Dd.Backend.config
-    -> ?use_kernels:bool
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> approximate_result
-end
-
 (** [functional ?strategy ?perm g g'] checks full functional equivalence.
     Dynamic inputs are first transformed with the Section 4 scheme; [perm]
     (applied to the transformed [g']) aligns its wires with [g]'s (see
@@ -203,7 +162,6 @@ type candidate_outcome =
 
 type candidate_report =
   { c_strategy : Strategy.t
-  ; c_backend : string  (** registry name of the DD backend it ran on *)
   ; c_seed : int option
         (** derived seed: {!candidate_seed} of the race seed and the
             candidate index *)
@@ -239,12 +197,12 @@ type portfolio_result =
 val candidate_seed : seed:int -> candidate:int -> int
 
 (** [portfolio ~candidates g g'] races one spawned domain per candidate
-    [(strategy, backend)] — each with its own DD package on its own
-    registry backend — and returns the first definitive verdict.  The
-    instant a candidate publishes, every other candidate observes it at
-    its next safepoint ([Pkg.checkpoint]) and unwinds; per-candidate
-    metrics and spans are folded into the calling domain at join, so a
-    batch worker's per-job metric diff covers the whole race.
+    strategy — each with its own DD package — and returns the first
+    definitive verdict.  The instant a candidate publishes, every other
+    candidate observes it at its next safepoint ([Pkg.checkpoint]) and
+    unwinds; per-candidate metrics and spans are folded into the calling
+    domain at join, so a batch worker's per-job metric diff covers the
+    whole race.
 
     [seed] is the {e race} seed; candidate [i] runs under
     [candidate_seed ~seed ~candidate:i], so simulative candidates draw
@@ -271,7 +229,7 @@ val candidate_seed : seed:int -> candidate:int -> int
     [portfolio.cancelled] per cancelled candidate.  Raises
     [Invalid_argument] on an empty candidate list. *)
 val portfolio :
-     candidates:(Strategy.t * string) list
+     candidates:Strategy.t list
   -> ?perm:int array
   -> ?auto_align:bool
   -> ?on_dynamic:[ `Transform | `Reject ]

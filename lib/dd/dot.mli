@@ -1,26 +1,13 @@
-(** Graphviz export of decision diagrams, for debugging and documentation.
+(** Graphviz export of decision diagrams, for debugging and documentation. *)
 
-    Backend-generic: {!Make} renders any {!Backend.S} implementation via
-    its structural views.  The unfunctorized values are the {!Classic}
-    instance. *)
-
-module Make (B : Backend.S) : sig
-  (** [vector p ppf e] prints a DOT digraph of the vector DD rooted at
-      [e]. *)
-  val vector : B.pkg -> Format.formatter -> B.vedge -> unit
-
-  (** [matrix p ppf e] prints a DOT digraph of the matrix DD rooted at
-      [e]. *)
-  val matrix : B.pkg -> Format.formatter -> B.medge -> unit
-
-  (** [vector_to_file p path e] and [matrix_to_file p path e] write the
-      DOT text to [path]. *)
-  val vector_to_file : B.pkg -> string -> B.vedge -> unit
-
-  val matrix_to_file : B.pkg -> string -> B.medge -> unit
-end
-
+(** [vector p ppf e] prints a DOT digraph of the vector DD rooted at [e]. *)
 val vector : Pkg.t -> Format.formatter -> Types.vedge -> unit
+
+(** [matrix p ppf e] prints a DOT digraph of the matrix DD rooted at [e]. *)
 val matrix : Pkg.t -> Format.formatter -> Types.medge -> unit
+
+(** [vector_to_file p path e] and [matrix_to_file p path e] write the DOT
+    text to [path]. *)
 val vector_to_file : Pkg.t -> string -> Types.vedge -> unit
+
 val matrix_to_file : Pkg.t -> string -> Types.medge -> unit

@@ -26,29 +26,28 @@ type spec =
   ; seed : int option
   ; kernels : bool
   ; cache : bool
-  ; backend : string
   ; portfolio : int option
   }
 
 let files ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
     ?timeout ?(retries = 0) ?seed ?(kernels = true) ?(cache = true)
-    ?(backend = Dd.Registry.default) ?portfolio ~index file_a file_b =
+    ?portfolio ~index file_a file_b =
   let label =
     match label with
     | Some l -> l
     | None -> Filename.basename file_a ^ " vs " ^ Filename.basename file_b
   in
   { index; label; source = Files { file_a; file_b }; strategy; auto_scheme
-  ; perm; transform; timeout; retries; seed; kernels; cache; backend; portfolio }
+  ; perm; transform; timeout; retries; seed; kernels; cache; portfolio }
 
 let circuits ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
     ?timeout ?(retries = 0) ?seed ?(kernels = true) ?(cache = true)
-    ?(backend = Dd.Registry.default) ?portfolio ~index a b =
+    ?portfolio ~index a b =
   let label =
     match label with Some l -> l | None -> a.Circ.name ^ " vs " ^ b.Circ.name
   in
   { index; label; source = Circuits { a; b }; strategy; auto_scheme; perm
-  ; transform; timeout; retries; seed; kernels; cache; backend; portfolio }
+  ; transform; timeout; retries; seed; kernels; cache; portfolio }
 
 type verdict =
   { equivalent : bool
@@ -87,7 +86,6 @@ type result =
   ; attempts : int
   ; worker : int
   ; seed : int option
-  ; backend : string
   ; metrics : Obs.Metrics.snapshot
   }
 
@@ -177,7 +175,6 @@ let to_json r =
       ; ("attempts", Json.Int r.attempts)
       ; ("worker", Json.Int r.worker)
       ; ("seed", opt (fun s -> Json.Int s) r.seed)
-      ; ("backend", Json.String r.backend)
       ; ("metrics", Obs.Metrics.to_json r.metrics)
       ])
 
@@ -253,13 +250,7 @@ let of_json j =
     | Some Json.Null | None -> Ok None
     | _ -> Error "result: malformed \"seed\""
   in
-  (* absent in pre-backend result files: those ran the classic package *)
-  let* backend =
-    match field "backend" with
-    | Some (Json.String b) -> Ok b
-    | None -> Ok "classic"
-    | _ -> Error "result: malformed \"backend\""
-  in
+  (* a "backend" key, written by earlier versions, is ignored *)
   let* metrics =
     match field "metrics" with
     | Some (Json.Obj kvs) ->
@@ -276,7 +267,7 @@ let of_json j =
   in
   Ok
     { index; label; files_checked; outcome; duration; attempts; worker; seed
-    ; backend; metrics }
+    ; metrics }
 
 let of_string line =
   match Json.of_string_opt line with

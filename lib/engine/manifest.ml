@@ -8,14 +8,12 @@ type defaults =
   ; transform : bool
   ; kernels : bool
   ; cache : bool
-  ; backend : string
   ; portfolio : int option
   }
 
 let no_defaults =
   { strategy = None; auto_scheme = false; timeout = None; retries = 0
-  ; transform = true; kernels = true; cache = true
-  ; backend = Dd.Registry.default; portfolio = None }
+  ; transform = true; kernels = true; cache = true; portfolio = None }
 
 type t =
   { seed : int option
@@ -64,21 +62,6 @@ let bool_field name j =
   | Some (Json.Bool b) -> Ok (Some b)
   | Some _ -> Error (Fmt.str "manifest: field %S must be a boolean" name)
   | None -> Ok None
-
-(* Backend names are validated against the runtime registry at parse
-   time, so a typo fails the whole manifest up front instead of surfacing
-   as N per-job crashes. *)
-let backend_field name j =
-  let* s = str_field name j in
-  match s with
-  | None -> Ok None
-  | Some b ->
-    (match Dd.Registry.find b with
-     | Some _ -> Ok (Some b)
-     | None ->
-       Error
-         (Fmt.str "manifest: unknown backend %S (expected one of: %s)" b
-            (String.concat ", " (Dd.Registry.names ()))))
 
 (* A portfolio width of 1 is legal (a degenerate race) but almost always a
    typo for "no portfolio"; the manifest insists on >= 2 to keep intent
@@ -143,7 +126,6 @@ let defaults_of_json j =
     let* transform = bool_field "transform" d in
     let* kernels = bool_field "kernels" d in
     let* cache = bool_field "cache" d in
-    let* backend = backend_field "backend" d in
     let* portfolio = portfolio_field "portfolio" d in
     let strategy, auto_scheme =
       match scheme with
@@ -159,7 +141,6 @@ let defaults_of_json j =
       ; transform = Option.value transform ~default:true
       ; kernels = Option.value kernels ~default:true
       ; cache = Option.value cache ~default:true
-      ; backend = Option.value backend ~default:Dd.Registry.default
       ; portfolio = (match portfolio with Some 0 -> None | p -> p)
       }
 
@@ -194,7 +175,6 @@ let job_of_json ~dir ~defaults ~manifest_seed ~index j =
     let* transform = bool_field "transform" j in
     let* kernels = bool_field "kernels" j in
     let* cache = bool_field "cache" j in
-    let* backend = backend_field "backend" j in
     let* portfolio = portfolio_field "portfolio" j in
     let label =
       match label with
@@ -224,7 +204,6 @@ let job_of_json ~dir ~defaults ~manifest_seed ~index j =
          ; seed = job_seed ~manifest_seed ~index
          ; kernels = Option.value kernels ~default:defaults.kernels
          ; cache = Option.value cache ~default:defaults.cache
-         ; backend = Option.value backend ~default:defaults.backend
          ; portfolio =
              (match portfolio with
               | Some 0 -> None
@@ -282,7 +261,7 @@ let of_pairs ?seed ?(defaults = no_defaults) pairs =
           ?timeout:defaults.timeout
           ~retries:defaults.retries ~transform:defaults.transform
           ~kernels:defaults.kernels ~cache:defaults.cache
-          ~backend:defaults.backend ?portfolio:defaults.portfolio
+          ?portfolio:defaults.portfolio
           ?seed:(job_seed ~manifest_seed:seed ~index) ~index a b)
       pairs
   in

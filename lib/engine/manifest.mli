@@ -4,8 +4,7 @@
     { "schema": "qcec-manifest/v1",
       "seed": 42,
       "defaults": { "strategy": "proportional", "timeout": 30,
-                    "retries": 1, "transform": true, "kernels": true,
-                    "backend": "classic" },
+                    "retries": 1, "transform": true, "kernels": true },
       "jobs": [
         { "a": "bv6_dynamic.qasm", "b": "bv6_static.qasm",
           "label": "bv6", "strategy": "simulation:16",
@@ -14,12 +13,13 @@
     v}
 
     Only ["schema"] and ["jobs"] (with per-job ["a"]/["b"]) are required;
-    every other field is optional.  Per-job fields override the
-    ["defaults"] block.  File paths are resolved relative to the manifest's
-    directory.  The manifest-level ["seed"] derives one deterministic
-    stimuli seed per job ([seed + job index]), so simulative strategies are
-    reproducible — and identical — regardless of worker count or
-    scheduling order.
+    every other field is optional, and keys it does not read (such as the
+    ["backend"] field earlier versions accepted) are ignored.  Per-job
+    fields override the ["defaults"] block.  File paths are resolved
+    relative to the manifest's directory.  The manifest-level ["seed"]
+    derives one deterministic stimuli seed per job ([seed + job index]),
+    so simulative strategies are reproducible — and identical — regardless
+    of worker count or scheduling order.
 
     A ["scheme"] field (per job or in defaults) selects the application
     scheme: ["auto"] routes each job through the static analysis passes at
@@ -47,10 +47,6 @@ type defaults =
   ; cache : bool
         (** default [true]; ["cache": false] (per job or in defaults)
             opts jobs out of the verdict store even when one is open *)
-  ; backend : string
-        (** default ["classic"]; ["backend"] (per job or in defaults)
-            selects the DD backend by {!Dd.Registry} name — unknown names
-            fail manifest compilation up front *)
   ; portfolio : int option
         (** ["portfolio": w] (per job or in defaults) races up to [w]
             candidate deciders per job, first verdict wins; [w] must be

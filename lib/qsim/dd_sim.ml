@@ -5,106 +5,102 @@ module Gates = Circuit.Gates
 
 let controls_of (cs : Op.control list) = List.map (fun (c : Op.control) -> (c.cq, c.pos)) cs
 
-module Make (B : Dd.Backend.S) = struct
-  module Pkg = B.Pkg
-  module Vec = B.Vec
-  module Mat = B.Mat
+module Pkg = Dd.Pkg
+module Vec = Dd.Vec
+module Mat = Dd.Mat
 
-  let op_unitary p ~n op =
-    match (op : Op.t) with
-    | Apply { gate; controls; target } ->
-      Pkg.gate p ~n ~controls:(controls_of controls) ~target (Gates.matrix gate)
-    | Swap (a, b) ->
-      let x = Gates.matrix Gates.X in
-      let cx c t = Pkg.gate p ~n ~controls:[ (c, true) ] ~target:t x in
-      let ab = cx a b and ba = cx b a in
-      Mat.mul p ab (Mat.mul p ba ab)
-    | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.op_unitary: non-unitary operation"
+let op_unitary p ~n op =
+  match (op : Op.t) with
+  | Apply { gate; controls; target } ->
+    Pkg.gate p ~n ~controls:(controls_of controls) ~target (Gates.matrix gate)
+  | Swap (a, b) ->
+    let x = Gates.matrix Gates.X in
+    let cx c t = Pkg.gate p ~n ~controls:[ (c, true) ] ~target:t x in
+    let ab = cx a b and ba = cx b a in
+    Mat.mul p ab (Mat.mul p ba ab)
+  | Measure _ | Reset _ | Cond _ | Barrier _ ->
+    invalid_arg "Dd_sim.op_unitary: non-unitary operation"
 
-  let apply_op p ?(use_kernels = true) ~n state op =
-    match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
-      Mat.apply_gate p ~n ~controls:(controls_of controls) ~target
-        (Gates.matrix gate) state
-    | Swap (a, b) when use_kernels -> Mat.apply_swap p ~n a b state
-    | Apply _ | Swap _ -> Mat.apply p (op_unitary p ~n op) state
-    | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.apply_op: non-unitary operation"
+let apply_op p ?(use_kernels = true) ~n state op =
+  match (op : Op.t) with
+  | Apply { gate; controls; target } when use_kernels ->
+    Mat.apply_gate p ~n ~controls:(controls_of controls) ~target
+      (Gates.matrix gate) state
+  | Swap (a, b) when use_kernels -> Mat.apply_swap p ~n a b state
+  | Apply _ | Swap _ -> Mat.apply p (op_unitary p ~n op) state
+  | Measure _ | Reset _ | Cond _ | Barrier _ ->
+    invalid_arg "Dd_sim.apply_op: non-unitary operation"
 
-  let mul_op_left p ~use_kernels ~n op m =
-    match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
-      Mat.mul_gate_left p ~n ~controls:(controls_of controls) ~target
-        (Gates.matrix gate) m
-    | Swap (a, b) when use_kernels -> Mat.mul_swap_left p ~n a b m
-    | Apply _ | Swap _ -> Mat.mul p (op_unitary p ~n op) m
-    | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.mul_op_left: non-unitary operation"
+let mul_op_left p ~use_kernels ~n op m =
+  match (op : Op.t) with
+  | Apply { gate; controls; target } when use_kernels ->
+    Mat.mul_gate_left p ~n ~controls:(controls_of controls) ~target
+      (Gates.matrix gate) m
+  | Swap (a, b) when use_kernels -> Mat.mul_swap_left p ~n a b m
+  | Apply _ | Swap _ -> Mat.mul p (op_unitary p ~n op) m
+  | Measure _ | Reset _ | Cond _ | Barrier _ ->
+    invalid_arg "Dd_sim.mul_op_left: non-unitary operation"
 
-  let mul_op_right p ~use_kernels ~n op m =
-    match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
-      Mat.mul_gate_right p ~n ~controls:(controls_of controls) ~target
-        (Gates.matrix gate) m
-    | Swap (a, b) when use_kernels -> Mat.mul_swap_right p ~n a b m
-    | Apply _ | Swap _ -> Mat.mul p m (Mat.adjoint p (op_unitary p ~n op))
-    | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.mul_op_right: non-unitary operation"
+let mul_op_right p ~use_kernels ~n op m =
+  match (op : Op.t) with
+  | Apply { gate; controls; target } when use_kernels ->
+    Mat.mul_gate_right p ~n ~controls:(controls_of controls) ~target
+      (Gates.matrix gate) m
+  | Swap (a, b) when use_kernels -> Mat.mul_swap_right p ~n a b m
+  | Apply _ | Swap _ -> Mat.mul p m (Mat.adjoint p (op_unitary p ~n op))
+  | Measure _ | Reset _ | Cond _ | Barrier _ ->
+    invalid_arg "Dd_sim.mul_op_right: non-unitary operation"
 
-  let simulate p ?(use_kernels = true) (c : Circ.t) =
-    if Circ.is_dynamic c then
-      invalid_arg "Dd_sim.simulate: dynamic circuit (use Extraction.run)";
-    let n = c.Circ.num_qubits in
-    Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        let step op =
-          match (op : Op.t) with
-          | Measure _ | Barrier _ -> ()
-          | Apply _ | Swap _ ->
-            Pkg.set_vroot r (apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
-            Pkg.checkpoint p
-          | Reset _ | Cond _ -> assert false (* excluded by is_dynamic *)
-        in
-        List.iter step c.Circ.ops;
-        Pkg.vroot_edge r)
+let simulate p ?(use_kernels = true) (c : Circ.t) =
+  if Circ.is_dynamic c then
+    invalid_arg "Dd_sim.simulate: dynamic circuit (use Extraction.run)";
+  let n = c.Circ.num_qubits in
+  Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
+      let step op =
+        match (op : Op.t) with
+        | Measure _ | Barrier _ -> ()
+        | Apply _ | Swap _ ->
+          Pkg.set_vroot r (apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+          Pkg.checkpoint p
+        | Reset _ | Cond _ -> assert false (* excluded by is_dynamic *)
+      in
+      List.iter step c.Circ.ops;
+      Pkg.vroot_edge r)
 
-  let build_unitary p ?(use_kernels = true) (c : Circ.t) =
-    let n = c.Circ.num_qubits in
-    Pkg.with_root_m p (Pkg.ident p n) (fun r ->
-        let step op =
-          match (op : Op.t) with
-          | Barrier _ -> ()
-          | Apply _ | Swap _ ->
-            Pkg.set_mroot r
-              (mul_op_left p ~use_kernels ~n op (Pkg.mroot_edge r));
-            Pkg.checkpoint p
-          | Measure _ | Reset _ | Cond _ ->
-            invalid_arg "Dd_sim.build_unitary: non-unitary operation in circuit"
-        in
-        List.iter step c.Circ.ops;
-        Pkg.mroot_edge r)
+let build_unitary p ?(use_kernels = true) (c : Circ.t) =
+  let n = c.Circ.num_qubits in
+  Pkg.with_root_m p (Pkg.ident p n) (fun r ->
+      let step op =
+        match (op : Op.t) with
+        | Barrier _ -> ()
+        | Apply _ | Swap _ ->
+          Pkg.set_mroot r
+            (mul_op_left p ~use_kernels ~n op (Pkg.mroot_edge r));
+          Pkg.checkpoint p
+        | Measure _ | Reset _ | Cond _ ->
+          invalid_arg "Dd_sim.build_unitary: non-unitary operation in circuit"
+      in
+      List.iter step c.Circ.ops;
+      Pkg.mroot_edge r)
 
-  let measured_distribution p state ~n ~num_cbits ~measures ?(cutoff = 1e-12)
-      ?(limit = 1 lsl 22) () =
-    let cbit_of = Hashtbl.create 16 in
-    List.iter (fun (q, cb) -> Hashtbl.replace cbit_of q cb) measures;
-    let paths = Vec.nonzero_paths p state ~n ~cutoff ~limit () in
-    let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-    let record (bits, prob) =
-      let key = Bytes.make num_cbits '0' in
-      Array.iteri
-        (fun q b ->
-          match Hashtbl.find_opt cbit_of q with
-          | Some cb -> if b = 1 then Bytes.set key cb '1'
-          | None -> ())
-        bits;
-      let key = Bytes.to_string key in
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt dist key) in
-      Hashtbl.replace dist key (prev +. prob)
-    in
-    List.iter record paths;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) dist []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end
-
-include Make (Dd.Classic)
+let measured_distribution p state ~n ~num_cbits ~measures ?(cutoff = 1e-12)
+    ?(limit = 1 lsl 22) () =
+  let cbit_of = Hashtbl.create 16 in
+  List.iter (fun (q, cb) -> Hashtbl.replace cbit_of q cb) measures;
+  let paths = Vec.nonzero_paths p state ~n ~cutoff ~limit () in
+  let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let record (bits, prob) =
+    let key = Bytes.make num_cbits '0' in
+    Array.iteri
+      (fun q b ->
+        match Hashtbl.find_opt cbit_of q with
+        | Some cb -> if b = 1 then Bytes.set key cb '1'
+        | None -> ())
+      bits;
+    let key = Bytes.to_string key in
+    let prev = Option.value ~default:0.0 (Hashtbl.find_opt dist key) in
+    Hashtbl.replace dist key (prev +. prob)
+  in
+  List.iter record paths;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) dist []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

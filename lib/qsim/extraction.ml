@@ -5,8 +5,7 @@ module M = Obs.Metrics
 
 (* observability: totals of the per-run counters below, accumulated across
    every extraction in the process (merged once per walk, so the branching
-   loop itself stays uninstrumented).  The counters live outside the backend
-   functor so classic and packed extractions share one set of totals. *)
+   loop itself stays uninstrumented). *)
 let m_leaves = M.counter "extract.leaves"
 let m_branch_points = M.counter "extract.branch_points"
 let m_pruned = M.counter "extract.pruned"
@@ -69,113 +68,174 @@ let rec pp_tree ppf = function
     in
     Fmt.pf ppf "@[<v>%s@,%a@,%a@]" what pp_side ("0", p0, zero) pp_side ("1", p1, one)
 
-module Make (B : Dd.Backend.S) = struct
-  module Pkg = B.Pkg
-  module Vec = B.Vec
-  module Mat = B.Mat
-  module Sim = Dd_sim.Make (B)
+module Pkg = Dd.Pkg
+module Vec = Dd.Vec
+module Mat = Dd.Mat
+module Sim = Dd_sim
 
-  (* Outcome probabilities of one qubit, renormalized against accumulated
-     drift.  The state is kept normalized along every path, so p0 + p1 is 1
-     up to rounding. *)
-  let outcome_probs p state qubit =
-    let p0, p1 = Vec.probabilities p state qubit in
-    let total = p0 +. p1 in
-    (p0 /. total, p1 /. total)
+(* Outcome probabilities of one qubit, renormalized against accumulated
+   drift.  The state is kept normalized along every path, so p0 + p1 is 1
+   up to rounding. *)
+let outcome_probs p state qubit =
+  let p0, p1 = Vec.probabilities p state qubit in
+  let total = p0 +. p1 in
+  (p0 /. total, p1 /. total)
 
-  (* The core branching walk.  [forced] optionally prescribes outcomes for
-     the first branch points (used by the parallel driver); [on_branch] lets
-     the tree builder observe the branching structure.
+(* The core branching walk.  [forced] optionally prescribes outcomes for
+   the first branch points (used by the parallel driver); [on_branch] lets
+   the tree builder observe the branching structure.
 
-     Each branch frame holds its state in a registered root: the parent's
-     pre-projection state stays rooted across the recursion into the first
-     outcome, so automatic compaction at any checkpoint safepoint cannot
-     sweep a state that a pending sibling branch still needs. *)
-  let walk ~pkg:p ~use_kernels ~n ~cutoff ~counters ~record ?(forced = [||])
-      circuit_ops cvals_init =
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
-    in
-    let rec go r ops cvals prob depth =
-      match ops with
-      | [] ->
-        counters.c_leaves <- counters.c_leaves + 1;
-        record (Bytes.to_string cvals) prob
-      | op :: rest ->
-        (match (op : Op.t) with
-         | Barrier _ -> go r rest cvals prob depth
-         | Apply _ | Swap _ ->
+   Each branch frame holds its state in a registered root: the parent's
+   pre-projection state stays rooted across the recursion into the first
+   outcome, so automatic compaction at any checkpoint safepoint cannot
+   sweep a state that a pending sibling branch still needs. *)
+let walk ~pkg:p ~use_kernels ~n ~cutoff ~counters ~record ?(forced = [||])
+    circuit_ops cvals_init =
+  let x_gate = Gates.matrix Gates.X in
+  let apply_x state qubit =
+    if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
+    else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+  in
+  let rec go r ops cvals prob depth =
+    match ops with
+    | [] ->
+      counters.c_leaves <- counters.c_leaves + 1;
+      record (Bytes.to_string cvals) prob
+    | op :: rest ->
+      (match (op : Op.t) with
+       | Barrier _ -> go r rest cvals prob depth
+       | Apply _ | Swap _ ->
+         counters.c_gates <- counters.c_gates + 1;
+         Pkg.set_vroot r
+           (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+         Pkg.checkpoint p;
+         go r rest cvals prob depth
+       | Cond { cond; op } ->
+         if Classical.cond_holds cond cvals then begin
            counters.c_gates <- counters.c_gates + 1;
            Pkg.set_vroot r
              (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
-           Pkg.checkpoint p;
-           go r rest cvals prob depth
-         | Cond { cond; op } ->
-           if Classical.cond_holds cond cvals then begin
-             counters.c_gates <- counters.c_gates + 1;
-             Pkg.set_vroot r
-               (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
-             Pkg.checkpoint p
-           end;
-           go r rest cvals prob depth
-         | Measure { qubit; cbit } ->
-           counters.c_branch_points <- counters.c_branch_points + 1;
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let take outcome p_out =
-             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-             let cvals' = Bytes.copy cvals in
-             Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
-             Pkg.with_root_v p state' (fun r' ->
-                 Pkg.checkpoint p;
-                 go r' rest cvals' (prob *. p_out) (depth + 1))
-           in
-           if depth < Array.length forced then begin
-             let outcome = forced.(depth) in
-             let p_out = if outcome = 1 then p1 else p0 in
-             if prob *. p_out > cutoff then take outcome p_out
-           end
-           else begin
-             if prob *. p1 > cutoff then take 1 p1
-             else counters.c_pruned <- counters.c_pruned + 1;
-             if prob *. p0 > cutoff then take 0 p0
-             else counters.c_pruned <- counters.c_pruned + 1
-           end
-         | Reset qubit ->
-           counters.c_branch_points <- counters.c_branch_points + 1;
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let take outcome p_out =
-             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-             let state' = if outcome = 1 then apply_x state' qubit else state' in
-             Pkg.with_root_v p state' (fun r' ->
-                 Pkg.checkpoint p;
-                 go r' rest cvals (prob *. p_out) (depth + 1))
-           in
-           if depth < Array.length forced then begin
-             let outcome = forced.(depth) in
-             let p_out = if outcome = 1 then p1 else p0 in
-             if prob *. p_out > cutoff then take outcome p_out
-           end
-           else begin
-             if prob *. p1 > cutoff then take 1 p1
-             else counters.c_pruned <- counters.c_pruned + 1;
-             if prob *. p0 > cutoff then take 0 p0
-             else counters.c_pruned <- counters.c_pruned + 1
-           end)
-    in
-    Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        go r circuit_ops cvals_init 1.0 0)
+           Pkg.checkpoint p
+         end;
+         go r rest cvals prob depth
+       | Measure { qubit; cbit } ->
+         counters.c_branch_points <- counters.c_branch_points + 1;
+         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+         let take outcome p_out =
+           let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
+           let cvals' = Bytes.copy cvals in
+           Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
+           Pkg.with_root_v p state' (fun r' ->
+               Pkg.checkpoint p;
+               go r' rest cvals' (prob *. p_out) (depth + 1))
+         in
+         if depth < Array.length forced then begin
+           let outcome = forced.(depth) in
+           let p_out = if outcome = 1 then p1 else p0 in
+           if prob *. p_out > cutoff then take outcome p_out
+         end
+         else begin
+           if prob *. p1 > cutoff then take 1 p1
+           else counters.c_pruned <- counters.c_pruned + 1;
+           if prob *. p0 > cutoff then take 0 p0
+           else counters.c_pruned <- counters.c_pruned + 1
+         end
+       | Reset qubit ->
+         counters.c_branch_points <- counters.c_branch_points + 1;
+         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+         let take outcome p_out =
+           let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
+           let state' = if outcome = 1 then apply_x state' qubit else state' in
+           Pkg.with_root_v p state' (fun r' ->
+               Pkg.checkpoint p;
+               go r' rest cvals (prob *. p_out) (depth + 1))
+         in
+         if depth < Array.length forced then begin
+           let outcome = forced.(depth) in
+           let p_out = if outcome = 1 then p1 else p0 in
+           if prob *. p_out > cutoff then take outcome p_out
+         end
+         else begin
+           if prob *. p1 > cutoff then take 1 p1
+           else counters.c_pruned <- counters.c_pruned + 1;
+           if prob *. p0 > cutoff then take 0 p0
+           else counters.c_pruned <- counters.c_pruned + 1
+         end)
+  in
+  Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
+      go r circuit_ops cvals_init 1.0 0)
 
-  let run_sequential ~cutoff ~use_kernels ?dd_config (c : Circ.t) =
-    let p = Pkg.create ?config:dd_config () in
-    let counters = new_counters () in
-    let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-    let record = Classical.add_weighted dist in
-    Obs.Span.with_ "extract.walk" (fun () ->
+let run_sequential ~cutoff ~use_kernels ?dd_config (c : Circ.t) =
+  let p = Pkg.create ?config:dd_config () in
+  let counters = new_counters () in
+  let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let record = Classical.add_weighted dist in
+  Obs.Span.with_ "extract.walk" (fun () ->
+    walk ~pkg:p ~use_kernels ~n:c.Circ.num_qubits ~cutoff ~counters ~record
+      c.Circ.ops
+      (Bytes.make c.Circ.num_cbits '0'));
+  publish_counters counters;
+  { distribution = Classical.sorted_bindings dist
+  ; stats =
+      { leaves = counters.c_leaves
+      ; branch_points = counters.c_branch_points
+      ; pruned = counters.c_pruned
+      ; gate_applications = counters.c_gates
+      }
+  }
+
+(* Parallel driver: the first [depth] branch points are forced per task,
+   so the 2^depth tasks partition the branching tree; each re-simulates
+   its prefix in a private package (DD nodes cannot be shared across
+   domains). *)
+let run_parallel ~cutoff ~use_kernels ~domains ?dd_config (c : Circ.t) =
+  let branchy =
+    List.exists (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops
+  in
+  if not branchy then run_sequential ~cutoff ~use_kernels ?dd_config c
+  else begin
+    let rec depth_for d = if 1 lsl d >= domains then d else depth_for (d + 1) in
+    let n_branches =
+      List.length
+        (List.filter (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops)
+    in
+    let depth = min (depth_for 0) n_branches in
+    let tasks = 1 lsl depth in
+    let task_of idx () =
+      let p = Pkg.create ?config:dd_config () in
+      let counters = new_counters () in
+      let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
+      let record = Classical.add_weighted dist in
+      let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
       walk ~pkg:p ~use_kernels ~n:c.Circ.num_qubits ~cutoff ~counters ~record
-        c.Circ.ops
-        (Bytes.make c.Circ.num_cbits '0'));
+        ~forced c.Circ.ops
+        (Bytes.make c.Circ.num_cbits '0');
+      (dist, counters)
+    in
+    (* run at most [domains] tasks simultaneously *)
+    let results = Array.make tasks None in
+    Obs.Span.with_ "extract.walk.parallel" (fun () ->
+      let next = ref 0 in
+      while !next < tasks do
+        let batch = min domains (tasks - !next) in
+        let handles =
+          List.init batch (fun i -> (!next + i, Domain.spawn (task_of (!next + i))))
+        in
+        List.iter (fun (idx, h) -> results.(idx) <- Some (Domain.join h)) handles;
+        next := !next + batch
+      done);
+    let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
+    let counters = new_counters () in
+    Array.iter
+      (function
+        | None -> ()
+        | Some (d, ctr) ->
+          Hashtbl.iter (fun k v -> Classical.add_weighted dist k v) d;
+          counters.c_leaves <- counters.c_leaves + ctr.c_leaves;
+          counters.c_branch_points <- counters.c_branch_points + ctr.c_branch_points;
+          counters.c_pruned <- counters.c_pruned + ctr.c_pruned;
+          counters.c_gates <- counters.c_gates + ctr.c_gates)
+      results;
     publish_counters counters;
     { distribution = Classical.sorted_bindings dist
     ; stats =
@@ -185,133 +245,68 @@ module Make (B : Dd.Backend.S) = struct
         ; gate_applications = counters.c_gates
         }
     }
+  end
 
-  (* Parallel driver: the first [depth] branch points are forced per task,
-     so the 2^depth tasks partition the branching tree; each re-simulates
-     its prefix in a private package (DD nodes cannot be shared across
-     domains). *)
-  let run_parallel ~cutoff ~use_kernels ~domains ?dd_config (c : Circ.t) =
-    let branchy =
-      List.exists (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops
-    in
-    if not branchy then run_sequential ~cutoff ~use_kernels ?dd_config c
-    else begin
-      let rec depth_for d = if 1 lsl d >= domains then d else depth_for (d + 1) in
-      let n_branches =
-        List.length
-          (List.filter (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops)
-      in
-      let depth = min (depth_for 0) n_branches in
-      let tasks = 1 lsl depth in
-      let task_of idx () =
-        let p = Pkg.create ?config:dd_config () in
-        let counters = new_counters () in
-        let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-        let record = Classical.add_weighted dist in
-        let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
-        walk ~pkg:p ~use_kernels ~n:c.Circ.num_qubits ~cutoff ~counters ~record
-          ~forced c.Circ.ops
-          (Bytes.make c.Circ.num_cbits '0');
-        (dist, counters)
-      in
-      (* run at most [domains] tasks simultaneously *)
-      let results = Array.make tasks None in
-      Obs.Span.with_ "extract.walk.parallel" (fun () ->
-        let next = ref 0 in
-        while !next < tasks do
-          let batch = min domains (tasks - !next) in
-          let handles =
-            List.init batch (fun i -> (!next + i, Domain.spawn (task_of (!next + i))))
-          in
-          List.iter (fun (idx, h) -> results.(idx) <- Some (Domain.join h)) handles;
-          next := !next + batch
-        done);
-      let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-      let counters = new_counters () in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (d, ctr) ->
-            Hashtbl.iter (fun k v -> Classical.add_weighted dist k v) d;
-            counters.c_leaves <- counters.c_leaves + ctr.c_leaves;
-            counters.c_branch_points <- counters.c_branch_points + ctr.c_branch_points;
-            counters.c_pruned <- counters.c_pruned + ctr.c_pruned;
-            counters.c_gates <- counters.c_gates + ctr.c_gates)
-        results;
-      publish_counters counters;
-      { distribution = Classical.sorted_bindings dist
-      ; stats =
-          { leaves = counters.c_leaves
-          ; branch_points = counters.c_branch_points
-          ; pruned = counters.c_pruned
-          ; gate_applications = counters.c_gates
-          }
-      }
-    end
+let run ?(cutoff = 1e-12) ?(domains = 1) ?(use_kernels = true) ?dd_config c =
+  M.incr m_runs;
+  if domains <= 1 then run_sequential ~cutoff ~use_kernels ?dd_config c
+  else run_parallel ~cutoff ~use_kernels ~domains ?dd_config c
 
-  let run ?(cutoff = 1e-12) ?(domains = 1) ?(use_kernels = true) ?dd_config c =
-    M.incr m_runs;
-    if domains <= 1 then run_sequential ~cutoff ~use_kernels ?dd_config c
-    else run_parallel ~cutoff ~use_kernels ~domains ?dd_config c
-
-  let tree ?(cutoff = 1e-12) ?(use_kernels = true) ?dd_config (c : Circ.t) =
-    let p = Pkg.create ?config:dd_config () in
-    let n = c.Circ.num_qubits in
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
-    in
-    let rec go r ops cvals prob =
-      match ops with
-      | [] -> Leaf { cvals = Bytes.to_string cvals; probability = prob }
-      | op :: rest ->
-        (match (op : Op.t) with
-         | Barrier _ -> go r rest cvals prob
-         | Apply _ | Swap _ ->
+let tree ?(cutoff = 1e-12) ?(use_kernels = true) ?dd_config (c : Circ.t) =
+  let p = Pkg.create ?config:dd_config () in
+  let n = c.Circ.num_qubits in
+  let x_gate = Gates.matrix Gates.X in
+  let apply_x state qubit =
+    if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
+    else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+  in
+  let rec go r ops cvals prob =
+    match ops with
+    | [] -> Leaf { cvals = Bytes.to_string cvals; probability = prob }
+    | op :: rest ->
+      (match (op : Op.t) with
+       | Barrier _ -> go r rest cvals prob
+       | Apply _ | Swap _ ->
+         Pkg.set_vroot r
+           (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+         Pkg.checkpoint p;
+         go r rest cvals prob
+       | Cond { cond; op } ->
+         if Classical.cond_holds cond cvals then begin
            Pkg.set_vroot r
              (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
-           Pkg.checkpoint p;
-           go r rest cvals prob
-         | Cond { cond; op } ->
-           if Classical.cond_holds cond cvals then begin
-             Pkg.set_vroot r
-               (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
-             Pkg.checkpoint p
-           end;
-           go r rest cvals prob
-         | Measure { qubit; cbit } ->
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let side outcome p_out =
-             if prob *. p_out > cutoff then begin
-               let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-               let cvals' = Bytes.copy cvals in
-               Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
-               Some
-                 (Pkg.with_root_v p state' (fun r' ->
-                      Pkg.checkpoint p;
-                      go r' rest cvals' (prob *. p_out)))
-             end
-             else None
-           in
-           Branch { qubit; cbit = Some cbit; p0; p1; zero = side 0 p0; one = side 1 p1 }
-         | Reset qubit ->
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let side outcome p_out =
-             if prob *. p_out > cutoff then begin
-               let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-               let state' = if outcome = 1 then apply_x state' qubit else state' in
-               Some
-                 (Pkg.with_root_v p state' (fun r' ->
-                      Pkg.checkpoint p;
-                      go r' rest cvals (prob *. p_out)))
-             end
-             else None
-           in
-           Branch { qubit; cbit = None; p0; p1; zero = side 0 p0; one = side 1 p1 })
-    in
-    Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        go r c.Circ.ops (Bytes.make c.Circ.num_cbits '0') 1.0)
-end
-
-include Make (Dd.Classic)
+           Pkg.checkpoint p
+         end;
+         go r rest cvals prob
+       | Measure { qubit; cbit } ->
+         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+         let side outcome p_out =
+           if prob *. p_out > cutoff then begin
+             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
+             let cvals' = Bytes.copy cvals in
+             Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
+             Some
+               (Pkg.with_root_v p state' (fun r' ->
+                    Pkg.checkpoint p;
+                    go r' rest cvals' (prob *. p_out)))
+           end
+           else None
+         in
+         Branch { qubit; cbit = Some cbit; p0; p1; zero = side 0 p0; one = side 1 p1 }
+       | Reset qubit ->
+         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+         let side outcome p_out =
+           if prob *. p_out > cutoff then begin
+             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
+             let state' = if outcome = 1 then apply_x state' qubit else state' in
+             Some
+               (Pkg.with_root_v p state' (fun r' ->
+                    Pkg.checkpoint p;
+                    go r' rest cvals (prob *. p_out)))
+           end
+           else None
+         in
+         Branch { qubit; cbit = None; p0; p1; zero = side 0 p0; one = side 1 p1 })
+  in
+  Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
+      go r c.Circ.ops (Bytes.make c.Circ.num_cbits '0') 1.0)

@@ -9,11 +9,7 @@
     outcome.  Resets that are not preceded by a measurement of the same
     qubit branch the same way, except that both branches contribute to the
     same classical assignment.  Branches whose accumulated probability falls
-    below the pruning cutoff are never simulated.
-
-    Backend-generic: {!Make} runs the walk on any {!Dd.Backend.S}; the
-    unfunctorized values are the {!Dd.Classic} instance.  Result and tree
-    types (and the [extract.*] metric totals) are shared across backends. *)
+    below the pruning cutoff are never simulated. *)
 
 type stats =
   { leaves : int  (** simulation paths reaching the end of the circuit *)
@@ -49,38 +45,19 @@ type tree =
     spirit of the paper's Fig. 4. *)
 val pp_tree : Format.formatter -> tree -> unit
 
-module Make (B : Dd.Backend.S) : sig
-  (** [run c] extracts the distribution of the dynamic circuit [c] starting
-      from |0...0>.
+(** [run c] extracts the distribution of the dynamic circuit [c] starting
+    from |0...0>.
 
-      [cutoff] prunes branches with accumulated probability at or below it
-      (default [1e-12]).  [domains] > 1 distributes the first branch points
-      over that many OCaml domains, each re-simulating its forced prefix
-      with a private DD package (the paper notes the branches are
-      embarrassingly parallel; its own evaluation is sequential, and so is
-      the default here).  [use_kernels] (default [true]) routes gate
-      applications through the direct kernels.  [dd_config] bounds the DD
-      packages' operation caches and enables automatic compaction; the walk
-      roots the state of every pending branch, so mid-walk sweeps are
-      safe. *)
-  val run :
-       ?cutoff:float
-    -> ?domains:int
-    -> ?use_kernels:bool
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> result
-
-  (** [tree c] materializes the whole branching structure; only sensible
-      for small numbers of measurements. *)
-  val tree :
-       ?cutoff:float
-    -> ?use_kernels:bool
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> tree
-end
-
+    [cutoff] prunes branches with accumulated probability at or below it
+    (default [1e-12]).  [domains] > 1 distributes the first branch points
+    over that many OCaml domains, each re-simulating its forced prefix
+    with a private DD package (the paper notes the branches are
+    embarrassingly parallel; its own evaluation is sequential, and so is
+    the default here).  [use_kernels] (default [true]) routes gate
+    applications through the direct kernels.  [dd_config] bounds the DD
+    packages' operation caches and enables automatic compaction; the walk
+    roots the state of every pending branch, so mid-walk sweeps are
+    safe. *)
 val run :
      ?cutoff:float
   -> ?domains:int
@@ -89,6 +66,8 @@ val run :
   -> Circuit.Circ.t
   -> result
 
+(** [tree c] materializes the whole branching structure; only sensible
+    for small numbers of measurements. *)
 val tree :
      ?cutoff:float
   -> ?use_kernels:bool

@@ -11,63 +11,59 @@ let empirical r =
   let total = float_of_int r.shots in
   List.map (fun (k, v) -> (k, float_of_int v /. total)) r.counts
 
-module Make (B : Dd.Backend.S) = struct
-  module Pkg = B.Pkg
-  module Vec = B.Vec
-  module Mat = B.Mat
-  module Sim = Dd_sim.Make (B)
+module Pkg = Dd.Pkg
+module Vec = Dd.Vec
+module Mat = Dd.Mat
+module Sim = Dd_sim
 
-  let one_shot ~rng ~use_kernels p ~n (c : Circ.t) =
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
-    in
-    let cvals = Bytes.make c.Circ.num_cbits '0' in
-    let sample state qubit =
-      let p0, p1 = Vec.probabilities p state qubit in
-      let outcome = if Random.State.float rng (p0 +. p1) < p0 then 0 else 1 in
-      (outcome, Vec.project p state qubit outcome)
-    in
-    let step r op =
-      let state = Pkg.vroot_edge r in
-      (match (op : Op.t) with
-       | Barrier _ -> ()
-       | Apply _ | Swap _ ->
+let one_shot ~rng ~use_kernels p ~n (c : Circ.t) =
+  let x_gate = Gates.matrix Gates.X in
+  let apply_x state qubit =
+    if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
+    else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+  in
+  let cvals = Bytes.make c.Circ.num_cbits '0' in
+  let sample state qubit =
+    let p0, p1 = Vec.probabilities p state qubit in
+    let outcome = if Random.State.float rng (p0 +. p1) < p0 then 0 else 1 in
+    (outcome, Vec.project p state qubit outcome)
+  in
+  let step r op =
+    let state = Pkg.vroot_edge r in
+    (match (op : Op.t) with
+     | Barrier _ -> ()
+     | Apply _ | Swap _ ->
+       Pkg.set_vroot r (Sim.apply_op p ~use_kernels ~n state op)
+     | Cond { cond; op } ->
+       if Classical.cond_holds cond cvals then
          Pkg.set_vroot r (Sim.apply_op p ~use_kernels ~n state op)
-       | Cond { cond; op } ->
-         if Classical.cond_holds cond cvals then
-           Pkg.set_vroot r (Sim.apply_op p ~use_kernels ~n state op)
-       | Measure { qubit; cbit } ->
-         let outcome, state = sample state qubit in
-         Bytes.set cvals cbit (if outcome = 1 then '1' else '0');
-         Pkg.set_vroot r state
-       | Reset qubit ->
-         let outcome, state = sample state qubit in
-         Pkg.set_vroot r (if outcome = 1 then apply_x state qubit else state));
-      Pkg.checkpoint p
-    in
-    Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        List.iter (step r) c.Circ.ops);
-    Bytes.to_string cvals
+     | Measure { qubit; cbit } ->
+       let outcome, state = sample state qubit in
+       Bytes.set cvals cbit (if outcome = 1 then '1' else '0');
+       Pkg.set_vroot r state
+     | Reset qubit ->
+       let outcome, state = sample state qubit in
+       Pkg.set_vroot r (if outcome = 1 then apply_x state qubit else state));
+    Pkg.checkpoint p
+  in
+  Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
+      List.iter (step r) c.Circ.ops);
+  Bytes.to_string cvals
 
-  let run ~seed ~shots ?(use_kernels = true) ?dd_config (c : Circ.t) =
-    let rng = Random.State.make [| seed; shots; 0x5a0d |] in
-    let n = c.Circ.num_qubits in
-    let counts = Hashtbl.create 64 in
-    (* one package for all shots: states from different shots share nodes,
-       which is exactly what makes repeated runs affordable *)
-    let p = Pkg.create ?config:dd_config () in
-    for _ = 1 to shots do
-      let key = one_shot ~rng ~use_kernels p ~n c in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-      Hashtbl.replace counts key (prev + 1)
-    done;
-    let counts =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    { counts; shots }
-end
-
-include Make (Dd.Classic)
+let run ~seed ~shots ?(use_kernels = true) ?dd_config (c : Circ.t) =
+  let rng = Random.State.make [| seed; shots; 0x5a0d |] in
+  let n = c.Circ.num_qubits in
+  let counts = Hashtbl.create 64 in
+  (* one package for all shots: states from different shots share nodes,
+     which is exactly what makes repeated runs affordable *)
+  let p = Pkg.create ?config:dd_config () in
+  for _ = 1 to shots do
+    let key = one_shot ~rng ~use_kernels p ~n c in
+    let prev = Option.value ~default:0 (Hashtbl.find_opt counts key) in
+    Hashtbl.replace counts key (prev + 1)
+  done;
+  let counts =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  { counts; shots }

@@ -159,17 +159,6 @@ let parse_perm body =
   | Some _ -> bad_field "perm" "a list of integers"
   | None -> None
 
-let parse_backend body =
-  match opt_string body "backend" with
-  | None -> None
-  | Some name -> (
-    match Dd.Registry.find name with
-    | Some _ -> Some name
-    | None ->
-      reject 400 "unknown_backend"
-        (Printf.sprintf "backend %S not registered (have: %s)" name
-           (String.concat ", " (Dd.Registry.names ()))))
-
 (* ["portfolio": w] races w candidate deciders for the job, first verdict
    wins; the same validation as the manifest (>= 2, or 0 for "no race"). *)
 let parse_portfolio body =
@@ -194,7 +183,6 @@ let inline_spec ~index body =
     ?seed:(opt_int body "seed")
     ?kernels:(opt_bool body "kernels")
     ?cache:(opt_bool body "cache")
-    ?backend:(parse_backend body)
     ?portfolio:(parse_portfolio body) ~index a b
 
 (* ------------------------------------------------------------------ *)

@@ -111,7 +111,7 @@ let test_key_sensitivity () =
   let k cfg = Key.make ~digest_a:da ~digest_b:db cfg in
   Alcotest.(check string) "stable for identical inputs" (k base) (k base);
   let distinct =
-    [ ("strategy", k { base with Key.strategy = "simulation(16)" })
+    [ ("strategy", k { base with Key.strategy = "stimuli(basis,16)" })
     ; ("transform", k { base with Key.transform = false })
     ; ("perm", k { base with Key.perm = Some [| 1; 0 |] })
     ; ("seed", k { base with Key.seed = Some 7 })
@@ -302,7 +302,17 @@ let test_verify_with_cache () =
         Qcec.Verify.functional ~perm:p.Pair.dyn_to_static ~cache:store ~seed:99
           p.Pair.static_circuit p.Pair.dynamic_circuit
       in
-      Alcotest.(check bool) "seed is part of the key" false miss.Qcec.Verify.cached)
+      Alcotest.(check bool) "seed is part of the key" false miss.Qcec.Verify.cached;
+      (* [simulation:<k>] is an alias of [stimuli:basis:<k>]: one
+         computation, one key *)
+      let stimuli s =
+        let strategy = Result.get_ok (Qcec.Strategy.of_string s) in
+        Qcec.Verify.functional ~strategy ~perm:p.Pair.dyn_to_static ~cache:store
+          p.Pair.static_circuit p.Pair.dynamic_circuit
+      in
+      Alcotest.(check bool) "alias computes cold" false (stimuli "simulation:8").cached;
+      Alcotest.(check bool) "stimuli:basis:8 hits the alias's key" true
+        (stimuli "stimuli:basis:8").cached)
 
 let test_engine_with_cache () =
   let pair = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 5) in

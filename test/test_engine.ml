@@ -85,7 +85,8 @@ let test_seeded_stimuli_deterministic () =
     List.map
       (fun (s : Job.spec) ->
         { s with
-          Job.strategy = Some (Qcec.Strategy.Simulation 8)
+          Job.strategy =
+            Some (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 8 })
         ; seed = Some (41 + s.Job.index)
         })
       (specs_of_pairs (List.init 4 bv_pair))
@@ -196,7 +197,8 @@ let test_manifest_compile () =
     Obs.Json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "seed": 7,
-          "defaults": { "strategy": "lookahead", "timeout": 30, "retries": 1 },
+          "defaults": { "strategy": "lookahead", "timeout": 30, "retries": 1,
+                        "backend": "packed" },
           "jobs": [
             { "a": "a.qasm", "b": "b.qasm" },
             { "a": "/abs/c.qasm", "b": "d.qasm", "label": "named",
@@ -224,7 +226,8 @@ let test_manifest_compile () =
       && j0.Job.timeout = Some 30.0
       && j0.Job.retries = 1 && j0.Job.transform);
     Alcotest.(check bool) "per-job overrides win" true
-      (j1.Job.strategy = Some (Qcec.Strategy.Simulation 16)
+      (j1.Job.strategy
+       = Some (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 16 })
       && j1.Job.timeout = Some 5.0
       && j1.Job.retries = 0
       && (not j1.Job.transform)
@@ -277,7 +280,7 @@ let gen_result =
       (pair
          (pair
             (pair (pair bool bool) bool)
-            (oneofl [ "proportional"; "lookahead"; "simulation(16)" ]))
+            (oneofl [ "proportional"; "lookahead"; "stimuli(basis,16)" ]))
          (pair (pair small_float small_float) (pair small_nat small_nat)))
   in
   let failure =
@@ -302,9 +305,8 @@ let gen_result =
       ; outcome
       ; duration
       ; attempts
-      ; worker = fst worker
+      ; worker
       ; seed
-      ; backend = snd worker
       ; metrics
       })
     (pair
@@ -315,7 +317,7 @@ let gen_result =
           (oneof [ verdict; failure ]))
        (pair
           (pair (pair small_float small_nat)
-             (pair (pair small_nat (oneofl [ "classic"; "packed" ])) (opt small_int)))
+             (pair small_nat (opt small_int)))
           metrics))
 
 let prop_result_roundtrip =
@@ -324,6 +326,29 @@ let prop_result_roundtrip =
       match Job.of_string (Obs.Json.to_string (Job.to_json r)) with
       | Ok r' -> r = r'
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
+
+(* Result files and stores written by earlier versions carry a "backend"
+   field; it is ignored on read and no longer written. *)
+let test_result_legacy_backend () =
+  let line =
+    {|{"schema": "qcec-result/v1", "index": 3, "label": "bv6", "files": ["a.qasm", "b.qasm"], "exit": "equivalent", "equivalent": true, "exactly_equal": false, "strategy": "proportional", "t_transform": 0.001, "t_check": 0.002, "transformed_qubits": 7, "peak_nodes": 12, "cached": false, "error": null, "duration_seconds": 0.01, "attempts": 1, "worker": 0, "seed": 42, "backend": "packed", "metrics": {"dd.kernel.calls": 5}}|}
+  in
+  match Job.of_string line with
+  | Error e -> Alcotest.failf "legacy line rejected: %s" e
+  | Ok r ->
+    Alcotest.(check int) "index" 3 r.Job.index;
+    Alcotest.(check (option int)) "seed" (Some 42) r.Job.seed;
+    Alcotest.(check int) "metrics" 5 (Obs.Metrics.find r.Job.metrics "dd.kernel.calls");
+    (match r.Job.outcome with
+     | Job.Verdict v ->
+       Alcotest.(check bool) "verdict" true (v.Job.equivalent && not v.Job.exactly_equal);
+       Alcotest.(check int) "peak nodes" 12 v.Job.peak_nodes
+     | Job.Failed _ -> Alcotest.fail "expected a verdict");
+    let j = Job.to_json r in
+    Alcotest.(check bool) "backend no longer written" true
+      (Obs.Json.member "backend" j = None);
+    Alcotest.(check bool) "re-serialized line round-trips" true
+      (Job.of_string (Obs.Json.to_string j) = Ok r)
 
 (* -- the DD package is single-domain ------------------------------------ *)
 
@@ -366,5 +391,7 @@ let suite =
   ; Alcotest.test_case "manifest rejects malformed input" `Quick
       test_manifest_errors
   ; QCheck_alcotest.to_alcotest prop_result_roundtrip
+  ; Alcotest.test_case "result lines with a backend field still parse" `Quick
+      test_result_legacy_backend
   ; Alcotest.test_case "DD package owner-domain guard" `Quick test_pkg_owner_guard
   ]

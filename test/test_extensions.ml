@@ -100,7 +100,10 @@ let prop_all_strategies_agree =
       in
       let sim_ok =
         mutate
-        || (Qcec.Verify.functional ~strategy:(Qcec.Strategy.Simulation 6) c c')
+        || (Qcec.Verify.functional
+              ~strategy:
+                (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 6 })
+              c c')
              .Qcec.Verify.equivalent
       in
       exact_ok && sim_ok)

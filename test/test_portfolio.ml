@@ -96,9 +96,9 @@ let test_stimuli_check_reproducible () =
 (* -- the race ----------------------------------------------------------- *)
 
 let race_candidates =
-  [ (Qcec.Strategy.Proportional, "classic")
-  ; (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 4 }, "packed")
-  ; (Qcec.Strategy.Lookahead, "classic")
+  [ Qcec.Strategy.Proportional
+  ; Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 4 }
+  ; Qcec.Strategy.Lookahead
   ]
 
 let test_race_verdict_and_seeds () =
@@ -138,7 +138,7 @@ let test_race_verdict_and_seeds () =
     (r.Qcec.Verify.winner_strategy = w.Qcec.Verify.c_strategy);
   (* every candidate, run solo, agrees with the race verdict *)
   List.iter
-    (fun (strategy, _) ->
+    (fun strategy ->
       let solo =
         Qcec.Verify.functional ~strategy ~seed:40 ~perm:pair.Pair.dyn_to_static
           pair.Pair.static_circuit pair.Pair.dynamic_circuit
@@ -157,14 +157,14 @@ let test_race_rejects_bad_input () =
           pair.Pair.dynamic_circuit);
      Alcotest.fail "empty candidate list must be rejected"
    with Invalid_argument _ -> ());
-  (* a race where every candidate fails re-raises the first failure *)
+  (* a race where every candidate fails re-raises the first failure: under
+     [`Reject] the dynamic input makes each candidate raise [Rejected] *)
   try
     ignore
-      (Qcec.Verify.portfolio
-         ~candidates:[ (Qcec.Strategy.Proportional, "no-such-backend") ]
-         pair.Pair.static_circuit pair.Pair.dynamic_circuit);
-    Alcotest.fail "unknown backend must propagate out of the race"
-  with Invalid_argument _ -> ()
+      (Qcec.Verify.portfolio ~candidates:[ Qcec.Strategy.Proportional ]
+         ~on_dynamic:`Reject pair.Pair.static_circuit pair.Pair.dynamic_circuit);
+    Alcotest.fail "a raising candidate must propagate out of the race"
+  with Qcec.Verify.Rejected _ -> ()
 
 (* Slow loser vs. fast winner: the sequential candidate sleeps at each
    of its (many) safepoints, guaranteeing the proportional candidate —
@@ -186,9 +186,7 @@ let test_loser_cancellation () =
       let r =
         Qcec.Verify.portfolio
           ~candidates:
-            [ (Qcec.Strategy.Sequential, "classic")
-            ; (Qcec.Strategy.Proportional, "classic")
-            ]
+            [ Qcec.Strategy.Sequential; Qcec.Strategy.Proportional ]
           ~seed:1
           ~safepoint:(fun ~candidate ~live_nodes:_ ->
             if candidate = slow then Unix.sleepf 0.005)
@@ -230,10 +228,8 @@ let test_simulative_pass_cannot_win () =
   let r =
     Qcec.Verify.portfolio
       ~candidates:
-        [ ( Qcec.Strategy.Random_stimuli
-              { kind = Qcec.Strategy.Basis; shots = 8 }
-          , "classic" )
-        ; (Qcec.Strategy.Proportional, "classic")
+        [ Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 8 }
+        ; Qcec.Strategy.Proportional
         ]
       ~seed:7
       ~safepoint:(fun ~candidate ~live_nodes:_ ->
@@ -260,12 +256,8 @@ let test_all_simulative_race_is_probabilistic () =
   let r =
     Qcec.Verify.portfolio
       ~candidates:
-        [ ( Qcec.Strategy.Random_stimuli
-              { kind = Qcec.Strategy.Basis; shots = 4 }
-          , "classic" )
-        ; ( Qcec.Strategy.Random_stimuli
-              { kind = Qcec.Strategy.Basis; shots = 8 }
-          , "packed" )
+        [ Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 4 }
+        ; Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 8 }
         ]
       ~seed:7 s id
   in
@@ -334,25 +326,20 @@ let test_pool_portfolio_job () =
   | Job.Failed { message; _ } -> Alcotest.failf "portfolio job failed: %s" message
 
 (* seeds derive via [Verify.candidate_seed], and portfolio verdict
-   flags are independent of worker count and backend (the winning
+   flags are independent of worker count (the winning
    candidate may differ run to run; the verdict may not).  An
    all-simulative race on an equivalent pair settles on the flagged
    probabilistic fallback — no candidate may claim it. *)
 let prop_portfolio_determinism =
   QCheck.Test.make ~count:4
     ~name:"portfolio: derived seeds and worker-count-independent verdicts"
-    QCheck.(
-      make
-        Gen.(pair (int_bound 999) (oneofl [ "classic"; "packed" ])))
-    (fun (seed, backend) ->
+    QCheck.(make Gen.(int_bound 999))
+    (fun seed ->
       let pair = bv_pair (seed mod 5) in
       let candidates =
-        List.map
-          (fun s -> (s, backend))
-          [ Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 3 }
-          ; Qcec.Strategy.Random_stimuli
-              { kind = Qcec.Strategy.Entangled; shots = 3 }
-          ]
+        [ Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 3 }
+        ; Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 3 }
+        ]
       in
       let r =
         Qcec.Verify.portfolio ~candidates ~seed ~perm:pair.Pair.dyn_to_static
@@ -371,7 +358,7 @@ let prop_portfolio_determinism =
       let specs =
         List.init 3 (fun index ->
           let p = bv_pair index in
-          Job.circuits ~perm:p.Pair.dyn_to_static ~backend ~portfolio:2
+          Job.circuits ~perm:p.Pair.dyn_to_static ~portfolio:2
             ~seed:(seed + index) ~index p.Pair.static_circuit
             p.Pair.dynamic_circuit)
       in

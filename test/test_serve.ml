@@ -286,10 +286,14 @@ let test_e2e_submit_poll_verdict () =
         (error_code (post ~port "/v1/jobs" "{\"a\": 42, \"b\": \"x\"}"));
       Alcotest.(check string) "unparsable circuit" "parse_error"
         (error_code (post ~port "/v1/jobs" "{\"a\": \"not qasm\", \"b\": \"also not\"}"));
-      Alcotest.(check string) "unknown backend" "unknown_backend"
-        (error_code
-           (post ~port "/v1/jobs"
-              (inline_job 3 ~extra:[ ("backend", Json.String "no-such-backend") ])));
+      (* a "backend" key, read by earlier versions, is ignored like any
+         other key the server does not read *)
+      let legacy =
+        post ~port "/v1/jobs" (inline_job 3 ~extra:[ ("backend", Json.String "packed") ])
+      in
+      Alcotest.(check int) "a backend key is ignored" 202 legacy.status;
+      Alcotest.(check string) "and the job still verifies" "equivalent"
+        (Job.exit_class (wait_done ~port legacy).Job.outcome);
       Alcotest.(check string) "missing job is 404" "not_found"
         (error_code (get ~port "/v1/jobs/job-999999"));
       (* submit, poll to verdict *)

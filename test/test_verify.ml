@@ -11,6 +11,9 @@ let check_pair ?strategy (pair : Pair.t) =
   Qcec.Verify.functional ?strategy ~perm:pair.Pair.dyn_to_static
     pair.Pair.static_circuit pair.Pair.dynamic_circuit
 
+let basis_stimuli shots =
+  Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots }
+
 let test_bv_functional () =
   List.iter
     (fun n ->
@@ -49,7 +52,7 @@ let test_strategies_agree () =
       Alcotest.(check bool)
         (Fmt.str "%s finds equivalence" (Qcec.Strategy.name strategy))
         true r.Qcec.Verify.equivalent)
-    [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; Qcec.Strategy.Simulation 8 ]
+    [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; basis_stimuli 8 ]
 
 let mutate_one_gate (c : Circ.t) =
   (* flip the angle of the first parameterized gate — a subtle bug *)
@@ -79,7 +82,7 @@ let test_negative_functional () =
       Alcotest.(check bool)
         (Fmt.str "%s catches mutation" (Qcec.Strategy.name strategy))
         false r.Qcec.Verify.equivalent)
-    [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; Qcec.Strategy.Simulation 8 ]
+    [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; basis_stimuli 8 ]
 
 let test_negative_distribution () =
   let pair = Algorithms.Qpe.paper_example () in
@@ -145,7 +148,7 @@ let prop_self_equivalence =
       let c = Algorithms.Random_circuit.unitary ~seed ~qubits:4 ~gates:20 in
       List.for_all
         (fun strategy -> (Qcec.Verify.functional ~strategy c c).Qcec.Verify.equivalent)
-        [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; Qcec.Strategy.Simulation 3 ])
+        [ Qcec.Strategy.Construction; Qcec.Strategy.Proportional; basis_stimuli 3 ])
 
 let prop_transform_then_check_random_dynamic =
   QCheck.Test.make ~name:"random dynamic circuit equivalent to its own transform"
