@@ -93,33 +93,123 @@ type gate_sig =
    target, second target *)
 type sig_key = int * (int * bool) list * int list * int * int
 
-(* Kernel cache keys: [(sid lsl 3) lor opcode] packed into the head slot
-   plus up to three operand ids, where the opcode distinguishes the
-   kernel's internal recursions (pass-through descent, the
-   controls-below combine, swap block moves) so one cache serves them
-   all.  Unused positions are padded with [-2] (node ids are >= -1; the
-   combine uses [-3] to mark a zero operand).  Values are edge pairs:
-   the combine and swap-move recursions emit both result slices of one
-   shared descent, and the single-valued descent entries just duplicate
-   their edge. *)
-type kkey = int * int * int * int
+(* Unique tables: chained hash tables whose cells hold a node and its full
+   hash.  The hash is computed from the node's variable and its successors'
+   weight ids and node ids, and a probe compares those ids against the
+   stored node's own edges, so a lookup allocates no key and runs no
+   polymorphic hash or compare.  The stored hash makes resizing and
+   mismatching cells cheap. *)
+type 'n ubucket =
+  | UNil
+  | UCell of
+      { h : int
+      ; mutable node : 'n
+      ; mutable next : 'n ubucket
+      }
+
+type 'n utab =
+  { mutable ubuckets : 'n ubucket array (* length a power of two *)
+  ; mutable ucount : int
+  }
+
+let utab_initial = 4096
+let utab_create () = { ubuckets = Array.make utab_initial UNil; ucount = 0 }
+
+let utab_reset u =
+  u.ubuckets <- Array.make utab_initial UNil;
+  u.ucount <- 0
+
+let utab_resize u n =
+  let old = u.ubuckets in
+  u.ubuckets <- Array.make n UNil;
+  let rec move = function
+    | UNil -> ()
+    | UCell c as b ->
+      let next = c.next in
+      let i = c.h land (n - 1) in
+      c.next <- u.ubuckets.(i);
+      u.ubuckets.(i) <- b;
+      move next
+  in
+  Array.iter move old
+
+(* [node] must not be in [u] yet *)
+let utab_insert u h node =
+  let i = h land (Array.length u.ubuckets - 1) in
+  u.ubuckets.(i) <- UCell { h; node; next = u.ubuckets.(i) };
+  u.ucount <- u.ucount + 1;
+  if u.ucount > Array.length u.ubuckets then utab_resize u (2 * Array.length u.ubuckets)
+
+let[@inline] hmix h x = (h + x) * 0x1F3D5B79
+
+let[@inline] hfinish h =
+  let h = h * 0x2C1B3C6D5A4F0E1B in
+  h lxor (h lsr 29)
+
+let[@inline] hmix_v h (e : vedge) = hmix (hmix h e.vw.id) (vnode_id e.vt)
+let[@inline] hmix_m h (e : medge) = hmix (hmix h e.mw.id) (mnode_id e.mt)
+let[@inline] vhash var e0 e1 = hfinish (hmix_v (hmix_v var e0) e1)
+
+let[@inline] mhash var e00 e01 e10 e11 =
+  hfinish (hmix_m (hmix_m (hmix_m (hmix_m var e00) e01) e10) e11)
+
+let[@inline] vsame (a : vedge) (b : vedge) =
+  a.vw.id = b.vw.id && vnode_id a.vt = vnode_id b.vt
+
+let[@inline] msame (a : medge) (b : medge) =
+  a.mw.id = b.mw.id && mnode_id a.mt = mnode_id b.mt
+
+let rec vchain h var e0 e1 = function
+  | UNil -> UNil
+  | UCell c as b ->
+    let n = c.node in
+    if c.h = h && n.vvar = var && vsame n.v0 e0 && vsame n.v1 e1 then b
+    else vchain h var e0 e1 c.next
+
+let rec mchain h var e00 e01 e10 e11 = function
+  | UNil -> UNil
+  | UCell c as b ->
+    let n = c.node in
+    if
+      c.h = h && n.mvar = var && msame n.m00 e00 && msame n.m01 e01 && msame n.m10 e10
+      && msame n.m11 e11
+    then b
+    else mchain h var e00 e01 e10 e11 c.next
+
+(* The cell holding the node with hash [h], variable [var] and the given
+   successors, or [UNil]. *)
+let[@inline] vcell u h var e0 e1 =
+  vchain h var e0 e1 (Array.unsafe_get u.ubuckets (h land (Array.length u.ubuckets - 1)))
+
+let[@inline] mcell u h var e00 e01 e10 e11 =
+  mchain h var e00 e01 e10 e11
+    (Array.unsafe_get u.ubuckets (h land (Array.length u.ubuckets - 1)))
 
 type t =
   { ctab : Ct.t
-  ; vtab : (vkey, vnode) Hashtbl.t
-  ; mtab : (mkey, mnode) Hashtbl.t
+  ; vtab : vnode utab
+  ; mtab : mnode utab
   ; mutable vnext : int
   ; mutable mnext : int
   ; mutable idents : medge array (* idents.(i) = identity on i qubits, i < nidents *)
   ; mutable nidents : int
-  ; vadd : (int * int * int, vedge) Cache.t
-  ; madd : (int * int * int, medge) Cache.t
-  ; mv : (int * int, vedge) Cache.t
-  ; mm : (int * int, medge) Cache.t
-  ; ip : (int * int, Cx.t) Cache.t
-  ; adj : (int, medge) Cache.t
-  ; kv : (kkey, vedge * vedge) Cache.t (* vector gate-kernel cache *)
-  ; km : (kkey, medge * medge) Cache.t (* matrix gate-kernel cache *)
+  ; vadd : vedge Cache.t
+  ; madd : medge Cache.t
+  ; mv : vedge Cache.t
+  ; mm : medge Cache.t
+  ; ip : Cx.t Cache.t
+  ; adj : medge Cache.t
+  (* The two gate-kernel caches.  A key packs [(sid lsl 4) lor opcode]
+     into its first slot, where the opcode (0-11) names the kernel's
+     internal recursion (pass-through descent, the controls-below combine,
+     swap block moves, the diagonal rows) so one cache serves them all.
+     The other three slots hold operand ids, unused ones padded with [-2]
+     (node ids are >= -1; the combine uses [-3] to mark a zero operand).
+     Values are edge pairs: the combine and swap-move recursions emit both
+     result slices of one shared descent, and the single-valued descent
+     entries just duplicate their edge. *)
+  ; kv : (vedge * vedge) Cache.t (* vector gate-kernel cache *)
+  ; km : (medge * medge) Cache.t (* matrix gate-kernel cache *)
   ; sigs : (sig_key, gate_sig) Hashtbl.t
   ; mutable sig_next : int
   ; vroots : (int, vroot) Hashtbl.t
@@ -144,8 +234,8 @@ let create ?(tol = 1e-10) ?(config = default_config) () =
   M.incr m_pkg_created;
   let caps = config.caps in
   { ctab = Ct.create ~tol ()
-  ; vtab = Hashtbl.create 4096
-  ; mtab = Hashtbl.create 4096
+  ; vtab = utab_create ()
+  ; mtab = utab_create ()
   ; vnext = 0
   ; mnext = 0
   ; idents = [||]
@@ -194,31 +284,31 @@ let wcx (w : weight) = Ct.to_cx w
    identified by its variable, weight ids and target ids. *)
 
 let hashcons_vnode p var e0 e1 =
-  let key = vkey_of var e0 e1 in
-  match Hashtbl.find_opt p.vtab key with
-  | Some n ->
+  let h = vhash var e0 e1 in
+  match vcell p.vtab h var e0 e1 with
+  | UCell c ->
     M.incr m_vuniq_hits;
-    n
-  | None ->
+    c.node
+  | UNil ->
     let n = { vid = p.vnext; vvar = var; v0 = e0; v1 = e1 } in
     p.vnext <- p.vnext + 1;
-    Hashtbl.add p.vtab key n;
+    utab_insert p.vtab h n;
     M.incr m_vuniq_inserts;
-    M.observe g_vnodes_peak (Hashtbl.length p.vtab);
+    M.observe g_vnodes_peak p.vtab.ucount;
     n
 
 let hashcons_mnode p var e00 e01 e10 e11 =
-  let key = mkey_of var e00 e01 e10 e11 in
-  match Hashtbl.find_opt p.mtab key with
-  | Some n ->
+  let h = mhash var e00 e01 e10 e11 in
+  match mcell p.mtab h var e00 e01 e10 e11 with
+  | UCell c ->
     M.incr m_muniq_hits;
-    n
-  | None ->
+    c.node
+  | UNil ->
     let n = { mid = p.mnext; mvar = var; m00 = e00; m01 = e01; m10 = e10; m11 = e11 } in
     p.mnext <- p.mnext + 1;
-    Hashtbl.add p.mtab key n;
+    utab_insert p.mtab h n;
     M.incr m_muniq_inserts;
-    M.observe g_mnodes_peak (Hashtbl.length p.mtab);
+    M.observe g_mnodes_peak p.mtab.ucount;
     n
 
 (* Vector normalization: divide successor weights by their 2-norm and by the
@@ -569,7 +659,7 @@ let with_root_m p e f =
   Fun.protect ~finally:(fun () -> release_m p r) (fun () -> f r)
 
 let live_roots p = Hashtbl.length p.vroots + Hashtbl.length p.mroots
-let live_nodes p = Hashtbl.length p.vtab + Hashtbl.length p.mtab
+let live_nodes p = p.vtab.ucount + p.mtab.ucount
 
 (* -- compaction ------------------------------------------------------- *)
 
@@ -586,8 +676,8 @@ let compact p =
   M.incr m_gc_runs;
   let nodes_before = live_nodes p and weights_before = Ct.size p.ctab in
   clear_caches p;
-  Hashtbl.reset p.vtab;
-  Hashtbl.reset p.mtab;
+  utab_reset p.vtab;
+  utab_reset p.mtab;
   let vseen = Hashtbl.create 256 and mseen = Hashtbl.create 256 in
   let weights : (int, weight) Hashtbl.t = Hashtbl.create 256 in
   let keep_w (w : weight) = if w.id > 1 then Hashtbl.replace weights w.id w in
@@ -596,7 +686,12 @@ let compact p =
     | Some n ->
       if not (Hashtbl.mem vseen n.vid) then begin
         Hashtbl.add vseen n.vid ();
-        Hashtbl.replace p.vtab (vkey_of n.vvar n.v0 n.v1) n;
+        (* replace semantics, as a duplicate key can only come from a
+           node held unrooted across an earlier sweep *)
+        let h = vhash n.vvar n.v0 n.v1 in
+        (match vcell p.vtab h n.vvar n.v0 n.v1 with
+         | UCell c -> c.node <- n
+         | UNil -> utab_insert p.vtab h n);
         keep_w n.v0.vw;
         keep_w n.v1.vw;
         if not (vedge_is_zero n.v0) then revisit_v n.v0.vt;
@@ -608,7 +703,10 @@ let compact p =
     | Some n ->
       if not (Hashtbl.mem mseen n.mid) then begin
         Hashtbl.add mseen n.mid ();
-        Hashtbl.replace p.mtab (mkey_of n.mvar n.m00 n.m01 n.m10 n.m11) n;
+        let h = mhash n.mvar n.m00 n.m01 n.m10 n.m11 in
+        (match mcell p.mtab h n.mvar n.m00 n.m01 n.m10 n.m11 with
+         | UCell c -> c.node <- n
+         | UNil -> utab_insert p.mtab h n);
         let follow (e : medge) =
           keep_w e.mw;
           if not (medge_is_zero e) then revisit_m e.mt
@@ -674,7 +772,7 @@ type stats =
   }
 
 let stats p =
-  { vector_nodes = Hashtbl.length p.vtab
-  ; matrix_nodes = Hashtbl.length p.mtab
+  { vector_nodes = p.vtab.ucount
+  ; matrix_nodes = p.mtab.ucount
   ; weights = Ct.size p.ctab
   }

@@ -43,18 +43,3 @@ let vedge_is_zero e = Cxnum.Cx_table.is_zero e.vw
 let medge_is_zero e = Cxnum.Cx_table.is_zero e.mw
 let vnode_id = function None -> -1 | Some n -> n.vid
 let mnode_id = function None -> -1 | Some n -> n.mid
-
-(* Keys for the unique tables: variable index plus the weight ids and target
-   node ids of all successors. *)
-type vkey = int * (int * int) * (int * int)
-type mkey = int * (int * int) * (int * int) * (int * int) * (int * int)
-
-let vkey_of var (e0 : vedge) (e1 : vedge) : vkey =
-  (var, (e0.vw.id, vnode_id e0.vt), (e1.vw.id, vnode_id e1.vt))
-
-let mkey_of var (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) : mkey =
-  ( var
-  , (e00.mw.id, mnode_id e00.mt)
-  , (e01.mw.id, mnode_id e01.mt)
-  , (e10.mw.id, mnode_id e10.mt)
-  , (e11.mw.id, mnode_id e11.mt) )

@@ -332,16 +332,18 @@ let test_cache_replace_and_eviction () =
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.set_enabled false)
     (fun () ->
-      let c : (int, string) Dd.Cache.t = Dd.Cache.create ~capacity:2 "testcache" in
-      Dd.Cache.add c 1 "a";
-      Dd.Cache.add c 1 "b";
+      let c : string Dd.Cache.t = Dd.Cache.create ~capacity:2 "testcache" in
+      Dd.Cache.add c 1 (-2) (-2) (-2) "a";
+      Dd.Cache.add c 1 (-2) (-2) (-2) "b";
       (* re-computed keys must shadow, not pile up as duplicate bindings *)
       Alcotest.(check int) "replace keeps one binding" 1 (Dd.Cache.length c);
-      Alcotest.(check (option string)) "latest value wins" (Some "b") (Dd.Cache.find c 1);
+      Alcotest.(check (option string))
+        "latest value wins" (Some "b")
+        (Dd.Cache.find c 1 (-2) (-2) (-2));
       let before = Obs.Metrics.snapshot () in
-      Dd.Cache.add c 2 "c";
-      Dd.Cache.add c 3 "d";
-      Dd.Cache.add c 4 "e";
+      Dd.Cache.add c 2 (-2) (-2) (-2) "c";
+      Dd.Cache.add c 3 (-2) (-2) (-2) "d";
+      Dd.Cache.add c 4 (-2) (-2) (-2) "e";
       let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
       Alcotest.(check bool) "capacity bound holds" true (Dd.Cache.length c <= 2);
       Alcotest.(check bool) "evictions are counted" true
@@ -350,10 +352,186 @@ let test_cache_replace_and_eviction () =
       Alcotest.(check int) "clear empties" 0 (Dd.Cache.length c))
 
 let test_zero_capacity_cache_disabled () =
-  let c : (int, int) Dd.Cache.t = Dd.Cache.create ~capacity:0 "testcache0" in
-  Dd.Cache.add c 1 10;
-  Alcotest.(check (option int)) "capacity 0 stores nothing" None (Dd.Cache.find c 1);
+  let c : int Dd.Cache.t = Dd.Cache.create ~capacity:0 "testcache0" in
+  Dd.Cache.add c 1 (-2) (-2) (-2) 10;
+  Alcotest.(check (option int))
+    "capacity 0 stores nothing" None
+    (Dd.Cache.find c 1 (-2) (-2) (-2));
   Alcotest.(check int) "stays empty" 0 (Dd.Cache.length c)
+
+(* Differential oracle for [Dd.Cache]: the int-keyed cache against the
+   [Hashtbl] + [Queue] cache it replaced ([Cache_ref]), fed the same op
+   stream at each capacity.  Every [find] must agree, and so must [length]
+   after every op and the hit, miss, eviction and peak counts at the end.
+   A third of the keys come from a small pool whose last slot may carry
+   bits at position 40 and up: keys that differ only there share the low
+   bits of their bucket index, so chains grow long and evictions unlink
+   cells from their middle.  The rest come from a range wide enough that
+   the unbounded cache outgrows its initial 1024 buckets between two
+   clears, so lookups also run across resizes.  Each stream runs in a
+   fresh domain, whose metric slots start at zero. *)
+let cache_capacities = [ -1; 0; 1; 2; 17 ]
+
+let cache_stream ~seed ~ops (i, capacity) =
+  let rng = Random.State.make [| seed; capacity |] in
+  let name = Printf.sprintf "differential%d" i in
+  let c = Dd.Cache.create ~capacity name and r = Cache_ref.create ~capacity in
+  let small () = Random.State.int rng 4 - 2 in
+  let pool =
+    Array.init 24 (fun _ ->
+      (small (), small (), small (), small () + (Random.State.int rng 8 lsl 40)))
+  in
+  let ok = ref true in
+  for op = 1 to ops do
+    let ((k0, k1, k2, k3) as k) =
+      if Random.State.int rng 3 = 0 then pool.(Random.State.int rng (Array.length pool))
+      else begin
+        let j = Random.State.int rng 8192 in
+        (j, j lsr 5, -1, -2)
+      end
+    in
+    if op = ops / 2 || Random.State.int rng 4000 = 0 then begin
+      Dd.Cache.clear c;
+      Cache_ref.clear r
+    end
+    else if Random.State.int rng 5 < 2 then begin
+      if Dd.Cache.find c k0 k1 k2 k3 <> Cache_ref.find r k then ok := false
+    end
+    else begin
+      Dd.Cache.add c k0 k1 k2 k3 op;
+      Cache_ref.add r k op
+    end;
+    if Dd.Cache.length c <> Cache_ref.length r then ok := false
+  done;
+  let snap = Obs.Metrics.snapshot () in
+  let count m = Obs.Metrics.find snap (Printf.sprintf "dd.cache.%s.%s" name m) in
+  !ok
+  && count "hits" = r.Cache_ref.hits
+  && count "misses" = r.Cache_ref.misses
+  && count "evictions" = r.Cache_ref.evictions
+  && count "peak" = r.Cache_ref.peak
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"int-keyed cache matches the Hashtbl reference" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Obs.Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled false)
+        (fun () ->
+          List.for_all
+            (fun cap ->
+              Domain.join (Domain.spawn (fun () -> cache_stream ~seed ~ops:8000 cap)))
+            (List.mapi (fun i c -> (i, c)) cache_capacities)))
+
+(* Node counting against the [Hashtbl] walk that the stamped marks
+   replaced. *)
+let ref_vcount (a : Dd.Types.vedge) =
+  let seen = Hashtbl.create 64 in
+  let rec go = function
+    | None -> ()
+    | Some (n : Dd.Types.vnode) ->
+      if not (Hashtbl.mem seen n.vid) then begin
+        Hashtbl.add seen n.vid ();
+        List.iter
+          (fun e -> if not (Dd.Types.vedge_is_zero e) then go e.Dd.Types.vt)
+          [ n.v0; n.v1 ]
+      end
+  in
+  if not (Dd.Types.vedge_is_zero a) then go a.vt;
+  Hashtbl.length seen
+
+let ref_mcount (a : Dd.Types.medge) =
+  let seen = Hashtbl.create 64 in
+  let rec go = function
+    | None -> ()
+    | Some (n : Dd.Types.mnode) ->
+      if not (Hashtbl.mem seen n.mid) then begin
+        Hashtbl.add seen n.mid ();
+        List.iter
+          (fun e -> if not (Dd.Types.medge_is_zero e) then go e.Dd.Types.mt)
+          [ n.m00; n.m01; n.m10; n.m11 ]
+      end
+  in
+  if not (Dd.Types.medge_is_zero a) then go a.mt;
+  Hashtbl.length seen
+
+(* Random vectors and matrices over a handful of amplitudes, so subgraphs
+   are shared and zero edges are common, plus sums of earlier ones; every
+   count is compared, then again for the rooted half after [compact] and
+   for DDs built after it. *)
+let node_counts_agree ~seed =
+  let rng = Random.State.make [| seed |] in
+  let p = Dd.Pkg.create () in
+  let amps = [| Cx.zero; Cx.one; Cx.of_float (-1.0); Cx.make 0.0 1.0; Cx.of_float 0.5 |] in
+  let amp () = amps.(Random.State.int rng (Array.length amps)) in
+  let vec n = Dd.Vec.of_array p (Array.init (1 lsl n) (fun _ -> amp ())) in
+  let mat n =
+    Dd.Mat.of_array p (Array.init (1 lsl n) (fun _ -> Array.init (1 lsl n) (fun _ -> amp ())))
+  in
+  let build () =
+    let n = 1 + Random.State.int rng 5 in
+    let vs = List.init 6 (fun _ -> vec n) and ms = List.init 4 (fun _ -> mat (min n 3)) in
+    ( vs @ [ Dd.Vec.add p (List.nth vs 0) (List.nth vs 1) ]
+    , ms @ [ Dd.Mat.add p (List.nth ms 0) (List.nth ms 1) ] )
+  in
+  let agree (vs, ms) =
+    List.for_all (fun v -> Dd.Vec.node_count v = ref_vcount v) vs
+    && List.for_all (fun m -> Dd.Mat.node_count m = ref_mcount m) ms
+  in
+  let ((vs, ms) as first) = build () in
+  let before = agree first in
+  let half l = List.filteri (fun i _ -> i mod 2 = 0) l in
+  let rvs = List.map (Dd.Pkg.root_v p) (half vs)
+  and rms = List.map (Dd.Pkg.root_m p) (half ms) in
+  Dd.Pkg.compact p;
+  let after = agree (List.map Dd.Pkg.vroot_edge rvs, List.map Dd.Pkg.mroot_edge rms) in
+  before && after && agree (build ())
+
+let prop_node_count_matches_reference =
+  QCheck.Test.make ~name:"stamped node counts match a Hashtbl walk" ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> node_counts_agree ~seed)
+
+let test_node_count_domains () =
+  (* two domains count their own DDs at once; each has its own marks *)
+  let workers =
+    List.map
+      (fun seed ->
+        Domain.spawn (fun () ->
+          List.for_all (fun k -> node_counts_agree ~seed:(seed + k)) (List.init 20 Fun.id)))
+      [ 1; 1000 ]
+  in
+  List.iter
+    (fun d -> Alcotest.(check bool) "counts agree in both domains" true (Domain.join d))
+    workers;
+  (* a fresh domain's marks grow once a node id passes their length *)
+  let grown =
+    Domain.join
+      (Domain.spawn (fun () ->
+         let fresh = Dd.Marks.length () in
+         let p = Dd.Pkg.create () in
+         let rng = Random.State.make [| 7 |] in
+         let last = ref Dd.Pkg.vzero in
+         while Dd.Types.vnode_id !last.vt < Dd.Marks.initial_length do
+           last :=
+             Dd.Vec.of_array p
+               (Array.init 64 (fun _ -> Cx.of_float (Random.State.float rng 1.0)))
+         done;
+         let got = Dd.Vec.node_count !last in
+         (fresh, got, ref_vcount !last, Dd.Marks.length ())))
+  in
+  let fresh, got, want, after = grown in
+  Alcotest.(check int) "fresh marks have the initial length" Dd.Marks.initial_length fresh;
+  Alcotest.(check int) "count past the initial length" want got;
+  Alcotest.(check bool) "marks grew" true (after > Dd.Marks.initial_length);
+  (* growing mid-walk keeps the walk's earlier marks *)
+  let m = Dd.Marks.start () in
+  Alcotest.(check bool) "first visit" true (Dd.Marks.visit m 5);
+  Alcotest.(check bool)
+    "visit past the length" true
+    (Dd.Marks.visit m (2 * Dd.Marks.length ()));
+  Alcotest.(check bool) "earlier mark survives growth" false (Dd.Marks.visit m 5)
 
 (* distinct non-canonical weight ids reachable from a rooted vector *)
 let reachable_weight_count (e : Dd.Types.vedge) =
@@ -461,6 +639,10 @@ let suite =
   ; Alcotest.test_case "cache replace + eviction" `Quick test_cache_replace_and_eviction
   ; Alcotest.test_case "capacity-0 cache disabled" `Quick
       test_zero_capacity_cache_disabled
+  ; Util.qtest prop_cache_matches_reference
+  ; Util.qtest prop_node_count_matches_reference
+  ; Alcotest.test_case "node counts in two domains, marks grow" `Quick
+      test_node_count_domains
   ; Alcotest.test_case "compact rebuilds the weight table" `Quick
       test_compact_rebuilds_weight_table
   ; Alcotest.test_case "repeated apply hits the mv cache" `Quick

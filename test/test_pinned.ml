@@ -92,3 +92,52 @@ let suite =
   [ Alcotest.test_case "functional: Pkg.stats and peak nodes" `Quick (test `Functional)
   ; Alcotest.test_case "distribution: Pkg.stats and extraction counts" `Quick (test `Distribution)
   ]
+
+(* The bounded-cache path: every operation and kernel cache capped at 64
+   entries and automatic compaction after 512 new nodes, so the
+   second-chance eviction order and the sweeps decide what is recomputed.
+   Pinned per pair: [Pkg.stats], the check's peak node count, the
+   evictions of each cache ([vadd], [madd], [mv], [mm], [ip], [adj], the
+   two kernel caches jointly) and the number of sweeps. *)
+let bounded_config = { Pkg.caps = Pkg.caps_uniform 64; gc_threshold = Some 512 }
+
+let bounded_sizes (pair : Pair.t) =
+  let g = pair.Pair.static_circuit in
+  let g' =
+    Circ.remap (Transform.Dynamic.transform pair.Pair.dynamic_circuit) ~perm:pair.Pair.dyn_to_static
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      let before = Obs.Metrics.snapshot () in
+      let p = Pkg.create ~config:bounded_config () in
+      let o = Qcec.Strategy.check p Qcec.Strategy.default g g' in
+      let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+      Alcotest.(check bool) "equivalent" true o.Qcec.Strategy.equivalent_up_to_phase;
+      let evictions c = Obs.Metrics.find d (c ^ ".evictions") in
+      stats_to_list (Pkg.stats p)
+      @ [ o.Qcec.Strategy.peak_nodes ]
+      @ List.map
+          (fun c -> evictions ("dd.cache." ^ c))
+          [ "vadd"; "madd"; "mv"; "mm"; "ip"; "adj" ]
+      @ [ evictions "dd.kernel"; Obs.Metrics.find d "dd.gc.runs" ])
+
+(* vector nodes, matrix nodes, weights, peak nodes; evictions of vadd,
+   madd, mv, mm, ip, adj and the kernel caches; sweeps *)
+let expected_bounded =
+  [ ("bv", [ 0; 251; 20; 25; 0; 0; 0; 0; 0; 0; 700; 1 ])
+  ; ("qft", [ 0; 147; 13; 13; 0; 0; 0; 0; 0; 0; 216; 0 ])
+  ]
+
+let test_bounded () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name (ints want) (ints (bounded_sizes (List.assoc name pairs))))
+    expected_bounded
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "bounded caches: Pkg.stats, peak, evictions, sweeps" `Quick
+        test_bounded
+    ]
