@@ -142,31 +142,31 @@ let json_path : string option ref = ref None
 let json_rows : (string * row) list ref = ref []
 
 (* filled by the scaling section, emitted as the "scaling" field *)
-let scaling_json : Obs.Json.t option ref = ref None
+let scaling_json : Qcec_json.t option ref = ref None
 
 (* filled by the kernels section, emitted as the "kernels" field *)
-let kernels_json : Obs.Json.t option ref = ref None
+let kernels_json : Qcec_json.t option ref = ref None
 
 (* filled by the cache section, emitted as the "cache" field *)
-let cache_json : Obs.Json.t option ref = ref None
+let cache_json : Qcec_json.t option ref = ref None
 
 (* filled by the lookahead section, emitted as the "lookahead" field *)
-let lookahead_json : Obs.Json.t option ref = ref None
+let lookahead_json : Qcec_json.t option ref = ref None
 
 (* filled by the portfolio section, emitted as the "portfolio" field *)
-let portfolio_json : Obs.Json.t option ref = ref None
+let portfolio_json : Qcec_json.t option ref = ref None
 
 let collect family row =
   if !json_path <> None then json_rows := (family, row) :: !json_rows
 
 let row_json (r : row) =
-  let time = function None -> Obs.Json.Null | Some t -> Obs.Json.Float t in
-  let verdict = function None -> Obs.Json.Null | Some b -> Obs.Json.Bool b in
-  Obs.Json.Obj
-    [ ("n", Obs.Json.Int r.n_static)
-    ; ("g_static", Obs.Json.Int r.g_static)
-    ; ("n_dyn", Obs.Json.Int r.n_dyn)
-    ; ("g_dyn", Obs.Json.Int r.g_dyn)
+  let time = function None -> Qcec_json.Null | Some t -> Qcec_json.Float t in
+  let verdict = function None -> Qcec_json.Null | Some b -> Qcec_json.Bool b in
+  Qcec_json.Obj
+    [ ("n", Qcec_json.Int r.n_static)
+    ; ("g_static", Qcec_json.Int r.g_static)
+    ; ("n_dyn", Qcec_json.Int r.n_dyn)
+    ; ("g_dyn", Qcec_json.Int r.g_dyn)
     ; ("t_trans", time r.t_trans)
     ; ("t_ver", time r.t_ver)
     ; ("t_extract", time r.t_extract)
@@ -188,9 +188,9 @@ let write_json ~mode path =
   let table1 =
     List.map
       (fun (family, rows) ->
-        Obs.Json.Obj
-          [ ("family", Obs.Json.String family)
-          ; ("rows", Obs.Json.List (List.rev_map row_json !rows))
+        Qcec_json.Obj
+          [ ("family", Qcec_json.String family)
+          ; ("rows", Qcec_json.List (List.rev_map row_json !rows))
           ])
       !families
   in
@@ -210,22 +210,22 @@ let write_json ~mode path =
     match !portfolio_json with None -> [] | Some j -> [ ("portfolio", j) ]
   in
   let doc =
-    Obs.Json.Obj
-      ([ ("schema", Obs.Json.String "qcec-bench/v1")
-       ; ("mode", Obs.Json.String mode)
-       ; ("table1", Obs.Json.List table1)
+    Qcec_json.Obj
+      ([ ("schema", Qcec_json.String "qcec-bench/v1")
+       ; ("mode", Qcec_json.String mode)
+       ; ("table1", Qcec_json.List table1)
        ]
       @ scaling
       @ kernels
       @ cache
       @ lookahead
       @ portfolio
-      @ [ ("failures", Obs.Json.Int !failures)
+      @ [ ("failures", Qcec_json.Int !failures)
         ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
         ; ("spans", Obs.Span.to_json ())
         ])
   in
-  Obs.Json.to_file path doc
+  Qcec_json.to_file path doc
 
 (* Optional CSV sink for downstream plotting: one file per Table 1 block. *)
 let csv_dir : string option ref = ref None
@@ -593,12 +593,12 @@ let scaling ~full ~quick () =
   pr "@.%d jobs; speedup at %d workers: %.2fx@." (List.length pairs) jobs speedup;
   scaling_json :=
     Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("workers", Obs.Json.Int jobs)
-         ; ("wall_seconds_sequential", Obs.Json.Float seq.Engine.Pool.wall_seconds)
-         ; ("wall_seconds_parallel", Obs.Json.Float par.Engine.Pool.wall_seconds)
-         ; ("speedup", Obs.Json.Float speedup)
+      (Qcec_json.Obj
+         [ ("jobs", Qcec_json.Int (List.length pairs))
+         ; ("workers", Qcec_json.Int jobs)
+         ; ("wall_seconds_sequential", Qcec_json.Float seq.Engine.Pool.wall_seconds)
+         ; ("wall_seconds_parallel", Qcec_json.Float par.Engine.Pool.wall_seconds)
+         ; ("speedup", Qcec_json.Float speedup)
          ; ("batch", Engine.Results.aggregate par)
          ])
 
@@ -676,15 +676,15 @@ let kernels_section ~full ~quick () =
     (List.length pairs) speedup;
   kernels_json :=
     Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("reps", Obs.Json.Int reps)
-         ; ("verdicts_equal", Obs.Json.Bool (v_kernel = v_generic))
-         ; ("wall_seconds_kernels", Obs.Json.Float t_kernel)
-         ; ("wall_seconds_generic", Obs.Json.Float t_generic)
-         ; ("check_seconds_kernels", Obs.Json.Float c_kernel)
-         ; ("check_seconds_generic", Obs.Json.Float c_generic)
-         ; ("speedup", Obs.Json.Float speedup)
+      (Qcec_json.Obj
+         [ ("jobs", Qcec_json.Int (List.length pairs))
+         ; ("reps", Qcec_json.Int reps)
+         ; ("verdicts_equal", Qcec_json.Bool (v_kernel = v_generic))
+         ; ("wall_seconds_kernels", Qcec_json.Float t_kernel)
+         ; ("wall_seconds_generic", Qcec_json.Float t_generic)
+         ; ("check_seconds_kernels", Qcec_json.Float c_kernel)
+         ; ("check_seconds_generic", Qcec_json.Float c_generic)
+         ; ("speedup", Qcec_json.Float speedup)
          ; ("metrics_kernels", Obs.Metrics.to_json m_kernel)
          ; ("metrics_generic", Obs.Metrics.to_json m_generic)
          ])
@@ -769,14 +769,14 @@ let cache_section ~full ~quick () =
     (List.length pairs) served speedup;
   cache_json :=
     Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("verdicts_equal", Obs.Json.Bool verdicts_equal)
-         ; ("warm_cached", Obs.Json.Int served)
-         ; ("wall_seconds_cold", Obs.Json.Float t_cold)
-         ; ("wall_seconds_warm", Obs.Json.Float t_warm)
-         ; ("speedup", Obs.Json.Float speedup)
-         ; ("pkg_created_warm", Obs.Json.Int (Obs.Metrics.find m_warm "dd.pkg.created"))
+      (Qcec_json.Obj
+         [ ("jobs", Qcec_json.Int (List.length pairs))
+         ; ("verdicts_equal", Qcec_json.Bool verdicts_equal)
+         ; ("warm_cached", Qcec_json.Int served)
+         ; ("wall_seconds_cold", Qcec_json.Float t_cold)
+         ; ("wall_seconds_warm", Qcec_json.Float t_warm)
+         ; ("speedup", Qcec_json.Float speedup)
+         ; ("pkg_created_warm", Qcec_json.Int (Obs.Metrics.find m_warm "dd.pkg.created"))
          ; ("metrics_cold", Obs.Metrics.to_json m_cold)
          ; ("metrics_warm", Obs.Metrics.to_json m_warm)
          ]);
@@ -868,28 +868,28 @@ let lookahead_section ~full ~quick () =
   pr "@.%d pairs; verdicts identical: %b@." (List.length rows) all_equal;
   lookahead_json :=
     Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length rows))
-         ; ("verdicts_equal", Obs.Json.Bool all_equal)
+      (Qcec_json.Obj
+         [ ("jobs", Qcec_json.Int (List.length rows))
+         ; ("verdicts_equal", Qcec_json.Bool all_equal)
          ; ( "pairs"
-           , Obs.Json.List
+           , Qcec_json.List
                (List.map
                   (fun (family, (pair : Pair.t), p, l, eq) ->
-                    Obs.Json.Obj
-                      [ ("family", Obs.Json.String family)
+                    Qcec_json.Obj
+                      [ ("family", Qcec_json.String family)
                       ; ( "name"
-                        , Obs.Json.String pair.Pair.static_circuit.Circ.name )
+                        , Qcec_json.String pair.Pair.static_circuit.Circ.name )
                       ; ( "qubits"
-                        , Obs.Json.Int pair.Pair.static_circuit.Circ.num_qubits )
-                      ; ("verdicts_equal", Obs.Json.Bool eq)
-                      ; ("equivalent", Obs.Json.Bool p.Qcec.Verify.equivalent)
+                        , Qcec_json.Int pair.Pair.static_circuit.Circ.num_qubits )
+                      ; ("verdicts_equal", Qcec_json.Bool eq)
+                      ; ("equivalent", Qcec_json.Bool p.Qcec.Verify.equivalent)
                       ; ( "peak_nodes_proportional"
-                        , Obs.Json.Int p.Qcec.Verify.peak_nodes )
+                        , Qcec_json.Int p.Qcec.Verify.peak_nodes )
                       ; ( "peak_nodes_lookahead"
-                        , Obs.Json.Int l.Qcec.Verify.peak_nodes )
+                        , Qcec_json.Int l.Qcec.Verify.peak_nodes )
                       ; ( "t_check_proportional"
-                        , Obs.Json.Float p.Qcec.Verify.t_check )
-                      ; ("t_check_lookahead", Obs.Json.Float l.Qcec.Verify.t_check)
+                        , Qcec_json.Float p.Qcec.Verify.t_check )
+                      ; ("t_check_lookahead", Qcec_json.Float l.Qcec.Verify.t_check)
                       ])
                   rows) )
          ])
@@ -1019,53 +1019,53 @@ let portfolio_section ~full ~quick () =
     (List.length rows) all_equal recommended_lost;
   portfolio_json :=
     Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length rows))
-         ; ("width", Obs.Json.Int width)
-         ; ("seed", Obs.Json.Int seed)
-         ; ("verdicts_equal", Obs.Json.Bool all_equal)
-         ; ("recommended_lost", Obs.Json.Int recommended_lost)
+      (Qcec_json.Obj
+         [ ("jobs", Qcec_json.Int (List.length rows))
+         ; ("width", Qcec_json.Int width)
+         ; ("seed", Qcec_json.Int seed)
+         ; ("verdicts_equal", Qcec_json.Bool all_equal)
+         ; ("recommended_lost", Qcec_json.Int recommended_lost)
          ; ( "pairs"
-           , Obs.Json.List
+           , Qcec_json.List
                (List.map
                   (fun (family, (pair : Pair.t), candidates, solo,
                         (race : Qcec.Verify.portfolio_result), eq, worst_solo) ->
-                    Obs.Json.Obj
-                      [ ("family", Obs.Json.String family)
+                    Qcec_json.Obj
+                      [ ("family", Qcec_json.String family)
                       ; ( "name"
-                        , Obs.Json.String pair.Pair.static_circuit.Circ.name )
+                        , Qcec_json.String pair.Pair.static_circuit.Circ.name )
                       ; ( "qubits"
-                        , Obs.Json.Int pair.Pair.static_circuit.Circ.num_qubits )
+                        , Qcec_json.Int pair.Pair.static_circuit.Circ.num_qubits )
                       ; ( "candidates"
-                        , Obs.Json.List
+                        , Qcec_json.List
                             (List.map
-                               (fun s -> Obs.Json.String (Qcec.Strategy.name s))
+                               (fun s -> Qcec_json.String (Qcec.Strategy.name s))
                                candidates) )
-                      ; ("verdicts_equal", Obs.Json.Bool eq)
+                      ; ("verdicts_equal", Qcec_json.Bool eq)
                       ; ( "equivalent"
-                        , Obs.Json.Bool
+                        , Qcec_json.Bool
                             race.Qcec.Verify.winner.Qcec.Verify.equivalent )
                       ; ( "winner"
-                        , Obs.Json.String
+                        , Qcec_json.String
                             (Qcec.Strategy.name race.Qcec.Verify.winner_strategy) )
-                      ; ("winner_index", Obs.Json.Int race.Qcec.Verify.winner_index)
+                      ; ("winner_index", Qcec_json.Int race.Qcec.Verify.winner_index)
                       ; ( "winner_definitive"
-                        , Obs.Json.Bool race.Qcec.Verify.winner_definitive )
+                        , Qcec_json.Bool race.Qcec.Verify.winner_definitive )
                       ; ( "recommended_lost"
-                        , Obs.Json.Bool (race.Qcec.Verify.winner_index <> 0) )
-                      ; ("cancelled", Obs.Json.Int race.Qcec.Verify.races_cancelled)
-                      ; ("t_race", Obs.Json.Float race.Qcec.Verify.t_wall)
-                      ; ("t_worst_solo", Obs.Json.Float worst_solo)
+                        , Qcec_json.Bool (race.Qcec.Verify.winner_index <> 0) )
+                      ; ("cancelled", Qcec_json.Int race.Qcec.Verify.races_cancelled)
+                      ; ("t_race", Qcec_json.Float race.Qcec.Verify.t_wall)
+                      ; ("t_worst_solo", Qcec_json.Float worst_solo)
                       ; ( "solo"
-                        , Obs.Json.List
+                        , Qcec_json.List
                             (List.map
                                (fun (s, (r : Qcec.Verify.functional_result), t) ->
-                                 Obs.Json.Obj
+                                 Qcec_json.Obj
                                    [ ( "strategy"
-                                     , Obs.Json.String (Qcec.Strategy.name s) )
+                                     , Qcec_json.String (Qcec.Strategy.name s) )
                                    ; ( "equivalent"
-                                     , Obs.Json.Bool r.Qcec.Verify.equivalent )
-                                   ; ("t_wall", Obs.Json.Float t)
+                                     , Qcec_json.Bool r.Qcec.Verify.equivalent )
+                                   ; ("t_wall", Qcec_json.Float t)
                                    ])
                                solo) )
                       ])

@@ -136,26 +136,26 @@ let pp_portfolio_report ppf (r : Qcec.Verify.portfolio_result) =
   Fmt.pf ppf "@]"
 
 let portfolio_json (r : Qcec.Verify.portfolio_result) =
-  Obs.Json.Obj
-    [ ("width", Obs.Json.Int (List.length r.Qcec.Verify.candidates))
-    ; ("winner_index", Obs.Json.Int r.Qcec.Verify.winner_index)
+  Qcec_json.Obj
+    [ ("width", Qcec_json.Int (List.length r.Qcec.Verify.candidates))
+    ; ("winner_index", Qcec_json.Int r.Qcec.Verify.winner_index)
     ; ( "winner_strategy"
-      , Obs.Json.String (Qcec.Strategy.name r.Qcec.Verify.winner_strategy) )
-    ; ("definitive", Obs.Json.Bool r.Qcec.Verify.winner_definitive)
-    ; ("cancelled", Obs.Json.Int r.Qcec.Verify.races_cancelled)
-    ; ("t_wall", Obs.Json.Float r.Qcec.Verify.t_wall)
+      , Qcec_json.String (Qcec.Strategy.name r.Qcec.Verify.winner_strategy) )
+    ; ("definitive", Qcec_json.Bool r.Qcec.Verify.winner_definitive)
+    ; ("cancelled", Qcec_json.Int r.Qcec.Verify.races_cancelled)
+    ; ("t_wall", Qcec_json.Float r.Qcec.Verify.t_wall)
     ; ( "candidates"
-      , Obs.Json.List
+      , Qcec_json.List
           (List.map
              (fun (c : Qcec.Verify.candidate_report) ->
-               Obs.Json.Obj
+               Qcec_json.Obj
                  [ ( "strategy"
-                   , Obs.Json.String (Qcec.Strategy.name c.Qcec.Verify.c_strategy) )
+                   , Qcec_json.String (Qcec.Strategy.name c.Qcec.Verify.c_strategy) )
                  ; ( "outcome"
-                   , Obs.Json.String
+                   , Qcec_json.String
                        (Fmt.str "%a" Qcec.Verify.pp_candidate_outcome
                           c.Qcec.Verify.c_outcome) )
-                 ; ("wall_seconds", Obs.Json.Float c.Qcec.Verify.c_wall)
+                 ; ("wall_seconds", Qcec_json.Float c.Qcec.Verify.c_wall)
                  ])
              r.Qcec.Verify.candidates) )
     ]
@@ -235,16 +235,16 @@ let enable_stats = function None -> () | Some _ -> Obs.Metrics.set_enabled true
 
 let write_stats path ~command ~files ~result =
   let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.String "qcec-stats/v1")
-      ; ("command", Obs.Json.String command)
-      ; ("files", Obs.Json.List (List.map (fun f -> Obs.Json.String f) files))
-      ; ("result", Obs.Json.Obj result)
+    Qcec_json.Obj
+      [ ("schema", Qcec_json.String "qcec-stats/v1")
+      ; ("command", Qcec_json.String command)
+      ; ("files", Qcec_json.List (List.map (fun f -> Qcec_json.String f) files))
+      ; ("result", Qcec_json.Obj result)
       ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
       ; ("spans", Obs.Span.to_json ())
       ]
   in
-  try Obs.Json.to_file path doc
+  try Qcec_json.to_file path doc
   with Sys_error msg ->
     Fmt.epr "qcec: cannot write stats file: %s@." msg;
     exit 2
@@ -335,13 +335,13 @@ let check_cmd =
     in
     maybe_write_stats stats_json ~command:"check" ~files:[ file_a; file_b ]
       ~result:
-        ([ ("equivalent", Obs.Json.Bool r.Qcec.Verify.equivalent)
-         ; ("exactly_equal", Obs.Json.Bool r.Qcec.Verify.exactly_equal)
-         ; ("strategy", Obs.Json.String strategy_name)
-         ; ("t_transform", Obs.Json.Float r.Qcec.Verify.t_transform)
-         ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
-         ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
-         ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
+        ([ ("equivalent", Qcec_json.Bool r.Qcec.Verify.equivalent)
+         ; ("exactly_equal", Qcec_json.Bool r.Qcec.Verify.exactly_equal)
+         ; ("strategy", Qcec_json.String strategy_name)
+         ; ("t_transform", Qcec_json.Float r.Qcec.Verify.t_transform)
+         ; ("t_check", Qcec_json.Float r.Qcec.Verify.t_check)
+         ; ("transformed_qubits", Qcec_json.Int r.Qcec.Verify.transformed_qubits)
+         ; ("peak_nodes", Qcec_json.Int r.Qcec.Verify.peak_nodes)
          ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
          ]
         @
@@ -402,19 +402,19 @@ let distribution_cmd =
     maybe_write_stats stats_json ~command:"distribution"
       ~files:[ dyn_file; static_file ]
       ~result:
-        [ ("distributions_equal", Obs.Json.Bool r.Qcec.Verify.distributions_equal)
-        ; ("total_variation", Obs.Json.Float r.Qcec.Verify.total_variation)
-        ; ("t_extract", Obs.Json.Float r.Qcec.Verify.t_extract)
-        ; ("t_simulate", Obs.Json.Float r.Qcec.Verify.t_simulate)
+        [ ("distributions_equal", Qcec_json.Bool r.Qcec.Verify.distributions_equal)
+        ; ("total_variation", Qcec_json.Float r.Qcec.Verify.total_variation)
+        ; ("t_extract", Qcec_json.Float r.Qcec.Verify.t_extract)
+        ; ("t_simulate", Qcec_json.Float r.Qcec.Verify.t_simulate)
         ; ( "extraction"
-          , Obs.Json.Obj
-              [ ("leaves", Obs.Json.Int r.Qcec.Verify.extraction_stats.Qsim.Extraction.leaves)
+          , Qcec_json.Obj
+              [ ("leaves", Qcec_json.Int r.Qcec.Verify.extraction_stats.Qsim.Extraction.leaves)
               ; ( "branch_points"
-                , Obs.Json.Int
+                , Qcec_json.Int
                     r.Qcec.Verify.extraction_stats.Qsim.Extraction.branch_points )
-              ; ("pruned", Obs.Json.Int r.Qcec.Verify.extraction_stats.Qsim.Extraction.pruned)
+              ; ("pruned", Qcec_json.Int r.Qcec.Verify.extraction_stats.Qsim.Extraction.pruned)
               ; ( "gate_applications"
-                , Obs.Json.Int
+                , Qcec_json.Int
                     r.Qcec.Verify.extraction_stats.Qsim.Extraction.gate_applications )
               ] )
         ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
@@ -464,13 +464,13 @@ let extract_cmd =
         (Qcec.Distribution.mass r.Qsim.Extraction.distribution);
       maybe_write_stats stats_json ~command:"extract" ~files:[ file ]
         ~result:
-          [ ("leaves", Obs.Json.Int r.Qsim.Extraction.stats.Qsim.Extraction.leaves)
+          [ ("leaves", Qcec_json.Int r.Qsim.Extraction.stats.Qsim.Extraction.leaves)
           ; ( "branch_points"
-            , Obs.Json.Int r.Qsim.Extraction.stats.Qsim.Extraction.branch_points )
-          ; ("pruned", Obs.Json.Int r.Qsim.Extraction.stats.Qsim.Extraction.pruned)
+            , Qcec_json.Int r.Qsim.Extraction.stats.Qsim.Extraction.branch_points )
+          ; ("pruned", Qcec_json.Int r.Qsim.Extraction.stats.Qsim.Extraction.pruned)
           ; ( "gate_applications"
-            , Obs.Json.Int r.Qsim.Extraction.stats.Qsim.Extraction.gate_applications )
-          ; ("mass", Obs.Json.Float (Qcec.Distribution.mass r.Qsim.Extraction.distribution))
+            , Qcec_json.Int r.Qsim.Extraction.stats.Qsim.Extraction.gate_applications )
+          ; ("mass", Qcec_json.Float (Qcec.Distribution.mass r.Qsim.Extraction.distribution))
           ]
     end
   in
@@ -588,9 +588,9 @@ let lint_cmd =
      | None -> ()
      | Some path ->
        let doc = Analysis.Report.to_json report in
-       if path = "-" then print_string (Obs.Json.to_string ~pretty:true doc)
+       if path = "-" then print_string (Qcec_json.to_string ~pretty:true doc)
        else begin
-         try Obs.Json.to_file path doc
+         try Qcec_json.to_file path doc
          with Sys_error msg ->
            Fmt.epr "qcec: cannot write lint report: %s@." msg;
            exit 2
@@ -641,32 +641,32 @@ let analyze_cmd =
     in
     let file_json (path, p) =
       match Analysis.Cost.to_json p with
-      | Obs.Json.Obj fields ->
-        Obs.Json.Obj (("file", Obs.Json.String path) :: fields)
+      | Qcec_json.Obj fields ->
+        Qcec_json.Obj (("file", Qcec_json.String path) :: fields)
       | other -> other
     in
     let pair_fields =
       match entries with
       | [ (_, a); (_, b) ] ->
-        [ ("divergence", Obs.Json.Float (Analysis.Cost.divergence a b))
+        [ ("divergence", Qcec_json.Float (Analysis.Cost.divergence a b))
         ; ( "recommended_scheme"
-          , Obs.Json.String
+          , Qcec_json.String
               (Analysis.Cost.scheme_name
                  (Analysis.Classify.route_application a b)) )
         ]
       | _ -> []
     in
     let doc =
-      Obs.Json.Obj
-        ([ ("schema", Obs.Json.String "qcec-analysis/v1")
-         ; ("files", Obs.Json.List (List.map file_json entries))
+      Qcec_json.Obj
+        ([ ("schema", Qcec_json.String "qcec-analysis/v1")
+         ; ("files", Qcec_json.List (List.map file_json entries))
          ]
         @ pair_fields)
     in
     match output with
-    | None | Some "-" -> print_string (Obs.Json.to_string ~pretty:true doc)
+    | None | Some "-" -> print_string (Qcec_json.to_string ~pretty:true doc)
     | Some path ->
-      (try Obs.Json.to_file path doc
+      (try Qcec_json.to_file path doc
        with Sys_error msg ->
          Fmt.epr "qcec: cannot write analysis report: %s@." msg;
          exit 2)
@@ -797,16 +797,16 @@ let verify_cmd =
     in
     maybe_write_stats stats_json ~command:"verify" ~files:[ file_a; file_b ]
       ~result:
-        ([ ("equivalent", Obs.Json.Bool r.Qcec.Verify.equivalent)
-         ; ("exactly_equal", Obs.Json.Bool r.Qcec.Verify.exactly_equal)
-         ; ("strategy", Obs.Json.String strategy_name)
-         ; ("t_transform", Obs.Json.Float r.Qcec.Verify.t_transform)
-         ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
-         ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
-         ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
-         ; ("cached", Obs.Json.Bool r.Qcec.Verify.cached)
+        ([ ("equivalent", Qcec_json.Bool r.Qcec.Verify.equivalent)
+         ; ("exactly_equal", Qcec_json.Bool r.Qcec.Verify.exactly_equal)
+         ; ("strategy", Qcec_json.String strategy_name)
+         ; ("t_transform", Qcec_json.Float r.Qcec.Verify.t_transform)
+         ; ("t_check", Qcec_json.Float r.Qcec.Verify.t_check)
+         ; ("transformed_qubits", Qcec_json.Int r.Qcec.Verify.transformed_qubits)
+         ; ("peak_nodes", Qcec_json.Int r.Qcec.Verify.peak_nodes)
+         ; ("cached", Qcec_json.Bool r.Qcec.Verify.cached)
          ; ( "profiles"
-           , Obs.Json.List
+           , Qcec_json.List
                (List.map
                   (fun (_, _, p) -> Analysis.Classify.to_json p)
                   profiles) )
@@ -965,9 +965,9 @@ let batch_cmd =
      | None -> ()
      | Some path ->
        let doc = Engine.Results.aggregate batch in
-       if path = "-" then Fmt.pr "%s@." (Obs.Json.to_string ~pretty:true doc)
+       if path = "-" then Fmt.pr "%s@." (Qcec_json.to_string ~pretty:true doc)
        else (
-         try Obs.Json.to_file path doc
+         try Qcec_json.to_file path doc
          with Sys_error msg -> usage (Fmt.str "cannot write summary: %s" msg)));
     let not_ok =
       List.filter

@@ -156,51 +156,51 @@ let scan (c : Circuit.Circ.t) =
 
 let finding_to_json f =
   let obj kind fields =
-    Obs.Json.Obj (("kind", Obs.Json.String kind) :: fields)
+    Qcec_json.Obj (("kind", Qcec_json.String kind) :: fields)
   in
   match f with
   | Self_inverse_pair { first; second; qubits; gate } ->
     obj "self_inverse_pair"
-      [ ("first", Obs.Json.Int first)
-      ; ("second", Obs.Json.Int second)
-      ; ("qubits", Obs.Json.List (List.map (fun q -> Obs.Json.Int q) qubits))
-      ; ("gate", Obs.Json.String gate)
+      [ ("first", Qcec_json.Int first)
+      ; ("second", Qcec_json.Int second)
+      ; ("qubits", Qcec_json.List (List.map (fun q -> Qcec_json.Int q) qubits))
+      ; ("gate", Qcec_json.String gate)
       ]
   | Adjoint_pair { first; second; qubits; gate } ->
     obj "adjoint_pair"
-      [ ("first", Obs.Json.Int first)
-      ; ("second", Obs.Json.Int second)
-      ; ("qubits", Obs.Json.List (List.map (fun q -> Obs.Json.Int q) qubits))
-      ; ("gate", Obs.Json.String gate)
+      [ ("first", Qcec_json.Int first)
+      ; ("second", Qcec_json.Int second)
+      ; ("qubits", Qcec_json.List (List.map (fun q -> Qcec_json.Int q) qubits))
+      ; ("gate", Qcec_json.String gate)
       ]
   | Mergeable_rotation { first; second; qubit; gate } ->
     obj "mergeable_rotation"
-      [ ("first", Obs.Json.Int first)
-      ; ("second", Obs.Json.Int second)
-      ; ("qubit", Obs.Json.Int qubit)
-      ; ("gate", Obs.Json.String gate)
+      [ ("first", Qcec_json.Int first)
+      ; ("second", Qcec_json.Int second)
+      ; ("qubit", Qcec_json.Int qubit)
+      ; ("gate", Qcec_json.String gate)
       ]
   | Zero_rotation { op_index; qubit; gate } ->
     obj "zero_rotation"
-      [ ("op_index", Obs.Json.Int op_index)
-      ; ("qubit", Obs.Json.Int qubit)
-      ; ("gate", Obs.Json.String gate)
+      [ ("op_index", Qcec_json.Int op_index)
+      ; ("qubit", Qcec_json.Int qubit)
+      ; ("gate", Qcec_json.String gate)
       ]
   | Diagonal_run { start; length } ->
     obj "diagonal_run"
-      [ ("start", Obs.Json.Int start); ("length", Obs.Json.Int length) ]
+      [ ("start", Qcec_json.Int start); ("length", Qcec_json.Int length) ]
 
 let to_json r =
   let count pred = List.length (List.filter pred r.findings) in
-  Obs.Json.Obj
+  Qcec_json.Obj
     [ ( "cancelling_pairs"
-      , Obs.Json.Int
+      , Qcec_json.Int
           (count (function Self_inverse_pair _ | Adjoint_pair _ -> true | _ -> false)) )
     ; ( "mergeable_rotations"
-      , Obs.Json.Int (count (function Mergeable_rotation _ -> true | _ -> false)) )
+      , Qcec_json.Int (count (function Mergeable_rotation _ -> true | _ -> false)) )
     ; ( "zero_rotations"
-      , Obs.Json.Int (count (function Zero_rotation _ -> true | _ -> false)) )
+      , Qcec_json.Int (count (function Zero_rotation _ -> true | _ -> false)) )
     ; ( "diagonal_runs"
-      , Obs.Json.Int (count (function Diagonal_run _ -> true | _ -> false)) )
-    ; ("findings", Obs.Json.List (List.map finding_to_json r.findings))
+      , Qcec_json.Int (count (function Diagonal_run _ -> true | _ -> false)) )
+    ; ("findings", Qcec_json.List (List.map finding_to_json r.findings))
     ]

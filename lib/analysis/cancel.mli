@@ -54,4 +54,4 @@ val is_diagonal_op : Circuit.Op.t -> bool
 
 val scan : Circuit.Circ.t -> result
 
-val to_json : result -> Obs.Json.t
+val to_json : result -> Qcec_json.t

@@ -163,24 +163,24 @@ let pp_profile ppf p =
 
 let to_json p =
   let first = function
-    | None -> Obs.Json.Null
+    | None -> Qcec_json.Null
     | Some (i, op) ->
-      Obs.Json.Obj
-        [ ("op_index", Obs.Json.Int i)
-        ; ("op", Obs.Json.String (Fmt.str "%a" Op.pp op))
+      Qcec_json.Obj
+        [ ("op_index", Qcec_json.Int i)
+        ; ("op", Qcec_json.String (Fmt.str "%a" Op.pp op))
         ]
   in
-  Obs.Json.Obj
-    [ ("kind", Obs.Json.String (kind_name p.kind))
-    ; ("num_qubits", Obs.Json.Int p.num_qubits)
-    ; ("num_cbits", Obs.Json.Int p.num_cbits)
-    ; ("gates", Obs.Json.Int p.gates)
-    ; ("measurements", Obs.Json.Int p.measurements)
-    ; ("resets", Obs.Json.Int p.resets)
-    ; ("conditioned", Obs.Json.Int p.conditioned)
-    ; ("barriers", Obs.Json.Int p.barriers)
+  Qcec_json.Obj
+    [ ("kind", Qcec_json.String (kind_name p.kind))
+    ; ("num_qubits", Qcec_json.Int p.num_qubits)
+    ; ("num_cbits", Qcec_json.Int p.num_cbits)
+    ; ("gates", Qcec_json.Int p.gates)
+    ; ("measurements", Qcec_json.Int p.measurements)
+    ; ("resets", Qcec_json.Int p.resets)
+    ; ("conditioned", Qcec_json.Int p.conditioned)
+    ; ("barriers", Qcec_json.Int p.barriers)
     ; ("first_non_unitary", first p.first_non_unitary)
-    ; ("transformable", Obs.Json.Bool (transformable p))
+    ; ("transformable", Qcec_json.Bool (transformable p))
     ]
 
 (* A located QA008 for a profile a scheme cannot handle; [None] when the

@@ -79,7 +79,7 @@ val compose_portfolio :
 
 val pp_profile : Format.formatter -> profile -> unit
 
-val to_json : profile -> Obs.Json.t
+val to_json : profile -> Qcec_json.t
 
 (** [scheme_rejection ?file ?lines ~scheme p] is a located QA008 diagnostic
     when [scheme] does not admit [p] ([lines] maps op index to source

@@ -87,13 +87,13 @@ let scan (c : Circuit.Circ.t) =
   }
 
 let to_json r =
-  Obs.Json.Obj
-    [ ("all_clifford", Obs.Json.Bool r.all_clifford)
-    ; ("clifford_prefix", Obs.Json.Int r.clifford_prefix)
+  Qcec_json.Obj
+    [ ("all_clifford", Qcec_json.Bool r.all_clifford)
+    ; ("clifford_prefix", Qcec_json.Int r.clifford_prefix)
     ; ( "first_non_clifford"
       , match r.first_non_clifford with
-        | None -> Obs.Json.Null
-        | Some i -> Obs.Json.Int i )
-    ; ("clifford_ops", Obs.Json.Int r.clifford_ops)
-    ; ("non_clifford_ops", Obs.Json.Int r.non_clifford_ops)
+        | None -> Qcec_json.Null
+        | Some i -> Qcec_json.Int i )
+    ; ("clifford_ops", Qcec_json.Int r.clifford_ops)
+    ; ("non_clifford_ops", Qcec_json.Int r.non_clifford_ops)
     ]

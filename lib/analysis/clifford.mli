@@ -34,4 +34,4 @@ val pass : bool Interp.pass
 
 val scan : Circuit.Circ.t -> result
 
-val to_json : result -> Obs.Json.t
+val to_json : result -> Qcec_json.t

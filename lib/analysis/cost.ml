@@ -176,18 +176,18 @@ let compose_portfolio ?(width = 4) ?(shots = default_shots) ~dynamic a b =
   lead :: take (max 0 (width - 1)) tail
 
 let to_json p =
-  Obs.Json.Obj
-    [ ("num_qubits", Obs.Json.Int p.num_qubits)
-    ; ("total_ops", Obs.Json.Int p.total_ops)
+  Qcec_json.Obj
+    [ ("num_qubits", Qcec_json.Int p.num_qubits)
+    ; ("total_ops", Qcec_json.Int p.total_ops)
     ; ("clifford", Clifford.to_json p.clifford)
     ; ("interaction", Interact.to_json p.graph)
     ; ("cancellation", Cancel.to_json p.cancel)
     ; ( "cost"
-      , Obs.Json.Obj
-          [ ("total", Obs.Json.Float p.total)
+      , Qcec_json.Obj
+          [ ("total", Qcec_json.Float p.total)
           ; ( "weights"
-            , Obs.Json.List
+            , Qcec_json.List
                 (Array.to_list
-                   (Array.map (fun w -> Obs.Json.Float w) p.weights)) )
+                   (Array.map (fun w -> Qcec_json.Float w) p.weights)) )
           ] )
     ]

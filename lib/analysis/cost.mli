@@ -75,4 +75,4 @@ val compose_portfolio :
 (** The per-file [qcec-analysis/v1] document body: [num_qubits],
     [total_ops], and one block per pass ([clifford], [interaction],
     [cancellation], [cost]). *)
-val to_json : t -> Obs.Json.t
+val to_json : t -> Qcec_json.t

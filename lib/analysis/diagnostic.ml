@@ -73,36 +73,36 @@ let sort ds =
 
 (* -- qcec-lint/v1 ------------------------------------------------------ *)
 
-let opt_int = function None -> Obs.Json.Null | Some i -> Obs.Json.Int i
+let opt_int = function None -> Qcec_json.Null | Some i -> Qcec_json.Int i
 
 let to_json d =
-  Obs.Json.Obj
-    [ ("code", Obs.Json.String d.code)
-    ; ("rule", Obs.Json.String d.rule)
-    ; ("severity", Obs.Json.String (severity_label d.severity))
-    ; ("message", Obs.Json.String d.message)
+  Qcec_json.Obj
+    [ ("code", Qcec_json.String d.code)
+    ; ("rule", Qcec_json.String d.rule)
+    ; ("severity", Qcec_json.String (severity_label d.severity))
+    ; ("message", Qcec_json.String d.message)
     ; ("line", opt_int d.span.line)
     ; ("op_index", opt_int d.span.op_index)
     ]
 
 let summary_json s =
-  Obs.Json.Obj
-    [ ("errors", Obs.Json.Int s.errors)
-    ; ("warnings", Obs.Json.Int s.warnings)
-    ; ("infos", Obs.Json.Int s.infos)
+  Qcec_json.Obj
+    [ ("errors", Qcec_json.Int s.errors)
+    ; ("warnings", Qcec_json.Int s.warnings)
+    ; ("infos", Qcec_json.Int s.infos)
     ]
 
 let report_to_json files =
   let total = summarize (List.concat_map snd files) in
-  Obs.Json.Obj
-    [ ("schema", Obs.Json.String "qcec-lint/v1")
+  Qcec_json.Obj
+    [ ("schema", Qcec_json.String "qcec-lint/v1")
     ; ( "files"
-      , Obs.Json.List
+      , Qcec_json.List
           (List.map
              (fun (file, ds) ->
-               Obs.Json.Obj
-                 [ ("file", Obs.Json.String file)
-                 ; ("diagnostics", Obs.Json.List (List.map to_json (sort ds)))
+               Qcec_json.Obj
+                 [ ("file", Qcec_json.String file)
+                 ; ("diagnostics", Qcec_json.List (List.map to_json (sort ds)))
                  ; ("summary", summary_json (summarize ds))
                  ])
              files) )

@@ -60,11 +60,11 @@ val sort : t list -> t list
 
 (** {1 [qcec-lint/v1] JSON} *)
 
-val to_json : t -> Obs.Json.t
+val to_json : t -> Qcec_json.t
 
-val summary_json : summary -> Obs.Json.t
+val summary_json : summary -> Qcec_json.t
 
 (** [report_to_json files] is the full lint report: a [qcec-lint/v1]
     document with one entry per [(file, diagnostics)] pair and per-file and
     overall severity summaries. *)
-val report_to_json : (string * t list) list -> Obs.Json.t
+val report_to_json : (string * t list) list -> Qcec_json.t

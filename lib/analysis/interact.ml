@@ -139,17 +139,17 @@ let of_circ (c : Circuit.Circ.t) =
   }
 
 let to_json g =
-  Obs.Json.Obj
-    [ ("entangling_ops", Obs.Json.Int g.entangling_ops)
+  Qcec_json.Obj
+    [ ("entangling_ops", Qcec_json.Int g.entangling_ops)
     ; ( "edges"
-      , Obs.Json.List
+      , Qcec_json.List
           (List.map
              (fun ((a, b), m) ->
-               Obs.Json.List [ Obs.Json.Int a; Obs.Json.Int b; Obs.Json.Int m ])
+               Qcec_json.List [ Qcec_json.Int a; Qcec_json.Int b; Qcec_json.Int m ])
              g.edges) )
-    ; ("components", Obs.Json.Int g.num_components)
-    ; ("cutwidth", Obs.Json.Int g.cutwidth)
+    ; ("components", Qcec_json.Int g.num_components)
+    ; ("cutwidth", Qcec_json.Int g.cutwidth)
     ; ( "order"
-      , Obs.Json.List
-          (Array.to_list (Array.map (fun q -> Obs.Json.Int q) g.order)) )
+      , Qcec_json.List
+          (Array.to_list (Array.map (fun q -> Qcec_json.Int q) g.order)) )
     ]

@@ -20,4 +20,4 @@ type t =
 
 val of_circ : Circuit.Circ.t -> t
 
-val to_json : t -> Obs.Json.t
+val to_json : t -> Qcec_json.t

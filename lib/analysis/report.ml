@@ -14,32 +14,32 @@ type entry =
 let entry ?profile file diagnostics = { file; diagnostics; profile }
 
 let classifier_json p =
-  let admits s = Obs.Json.Bool (Classify.admits s p) in
-  Obs.Json.Obj
+  let admits s = Qcec_json.Bool (Classify.admits s p) in
+  Qcec_json.Obj
     [ ("profile", Classify.to_json p)
     ; ( "admits"
-      , Obs.Json.Obj
+      , Qcec_json.Obj
           [ ("unitary", admits Classify.Unitary_scheme)
           ; ("transformation", admits Classify.Transformation)
           ; ("extraction", admits Classify.Extraction)
           ] )
-    ; ("route", Obs.Json.String (Classify.scheme_slug (Classify.route p)))
+    ; ("route", Qcec_json.String (Classify.scheme_slug (Classify.route p)))
     ]
 
 let to_json entries =
   let total =
     Diagnostic.summarize (List.concat_map (fun e -> e.diagnostics) entries)
   in
-  Obs.Json.Obj
-    [ ("schema", Obs.Json.String "qcec-lint/v2")
+  Qcec_json.Obj
+    [ ("schema", Qcec_json.String "qcec-lint/v2")
     ; ( "files"
-      , Obs.Json.List
+      , Qcec_json.List
           (List.map
              (fun e ->
-               Obs.Json.Obj
-                 ([ ("file", Obs.Json.String e.file)
+               Qcec_json.Obj
+                 ([ ("file", Qcec_json.String e.file)
                   ; ( "diagnostics"
-                    , Obs.Json.List
+                    , Qcec_json.List
                         (List.map Diagnostic.to_json
                            (Diagnostic.sort e.diagnostics)) )
                   ; ( "summary"
@@ -48,7 +48,7 @@ let to_json entries =
                   ]
                  @
                  match e.profile with
-                 | None -> [ ("classifier", Obs.Json.Null) ]
+                 | None -> [ ("classifier", Qcec_json.Null) ]
                  | Some p -> [ ("classifier", classifier_json p) ]))
              entries) )
     ; ("summary", Diagnostic.summary_json total)

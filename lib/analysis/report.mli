@@ -14,4 +14,4 @@ type entry =
 
 val entry : ?profile:Classify.profile -> string -> Diagnostic.t list -> entry
 
-val to_json : entry list -> Obs.Json.t
+val to_json : entry list -> Qcec_json.t

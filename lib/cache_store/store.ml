@@ -1,5 +1,5 @@
 module M = Obs.Metrics
-module J = Obs.Json
+module J = Qcec_json
 
 let m_hits = M.counter "cache.result.hits"
 let m_misses = M.counter "cache.result.misses"

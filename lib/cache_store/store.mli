@@ -67,6 +67,6 @@ val dir : t -> string option
 val close : t -> unit
 
 (** JSONL codec for one record, exposed for tests and external tooling. *)
-val entry_to_json : entry -> Obs.Json.t
+val entry_to_json : entry -> Qcec_json.t
 
-val entry_of_json : Obs.Json.t -> (entry, string) result
+val entry_of_json : Qcec_json.t -> (entry, string) result

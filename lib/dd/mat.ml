@@ -12,23 +12,25 @@ let rec add p (a : medge) (b : medge) =
   else if medge_is_zero b then a
   else begin
     let a, b = if mnode_id a.mt <= mnode_id b.mt then (a, b) else (b, a) in
-    let wa = wcx a.mw and wb = wcx b.mw in
     match (a.mt, b.mt) with
     | None, None ->
+      let wa = wcx a.mw and wb = wcx b.mw in
       (* cancellation residue is tiny relative to the operands, not in
          absolute terms — test at the operands' scale *)
       let s = Cx.add wa wb in
       if Cx.abs s <= Pkg.tol p *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.mzero
       else Pkg.mterminal p s
     | Some na, Some nb ->
-      let ratio = Pkg.weight p (Cx.div wb wa) in
+      (* w_b / 1 interns to w_b itself *)
+      let ratio =
+        if Ct.is_one a.mw then b.mw else Pkg.weight p (Cx.div (wcx b.mw) (wcx a.mw))
+      in
       let cache = Pkg.madd_cache p in
       let inner =
         match Cache.find cache na.mid nb.mid ratio.id (-2) with
         | Some e -> e
         | None ->
-          let rb = wcx ratio in
-          let sum ea eb = add p ea (Pkg.mscale p rb eb) in
+          let sum ea eb = add p ea (Pkg.mscale_w p ratio eb) in
           let e =
             Pkg.make_mnode p na.mvar (sum na.m00 nb.m00) (sum na.m01 nb.m01)
               (sum na.m10 nb.m10) (sum na.m11 nb.m11)
@@ -36,7 +38,7 @@ let rec add p (a : medge) (b : medge) =
           Cache.add cache na.mid nb.mid ratio.id (-2) e;
           e
       in
-      Pkg.mscale p wa inner
+      Pkg.mscale_w p a.mw inner
     | _ -> invalid_arg "Mat.add: operands of different dimension"
   end
 
@@ -162,11 +164,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       match e.vt with
       | None -> invalid_arg "Mat.apply_gate: state too shallow"
       | Some nd ->
-        if Ct.is_one e.vw then (nd.v0, nd.v1)
-        else begin
-          let w = wcx e.vw in
-          (Pkg.vscale p w nd.v0, Pkg.vscale p w nd.v1)
-        end
+        (Pkg.vscale_w p e.vw nd.v0, Pkg.vscale_w p e.vw nd.v1)
   in
   (* controls strictly below the target: [below2 x y] computes both row
      combinations u_{r0} P x + u_{r1} P y + (1-P) (r = 0 ? x : y) in one
@@ -181,12 +179,14 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
     if vedge_is_zero x && vedge_is_zero y then (Pkg.vzero, Pkg.vzero)
     else begin
       let lead, x, y =
-        if vedge_is_zero x then (wcx y.vw, x, { y with vw = Ct.one })
+        if vedge_is_zero x then (y.vw, x, { y with vw = Ct.one })
         else begin
-          let wx = wcx x.vw in
-          let ratio = Pkg.weight p (Cx.div (wcx y.vw) wx) in
+          let ratio =
+            if Ct.is_one x.vw then y.vw
+            else Pkg.weight p (Cx.div (wcx y.vw) (wcx x.vw))
+          in
           let y = if Ct.is_zero ratio then Pkg.vzero else { y with vw = ratio } in
-          (wx, { x with vw = Ct.one }, y)
+          (x.vw, { x with vw = Ct.one }, y)
         end
       in
       (* [-3] marks a zero [x] — [vnode_id] cannot tell it apart from a
@@ -225,7 +225,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
           Cache.add kv op xi yi y.vw.id (r0, r1);
           (r0, r1)
       in
-      (Pkg.vscale p lead r0, Pkg.vscale p lead r1)
+      (Pkg.vscale_w p lead r0, Pkg.vscale_w p lead r1)
     end
   in
   (* diagonal gate (u01 = u10 = 0) with controls below: row [row] of the
@@ -261,7 +261,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
               Cache.add kv op nd.vid (-2) (-2) (r, r);
               r
           in
-          Pkg.vscale p (wcx e.vw) inner
+          Pkg.vscale_w p e.vw inner
         end
   in
   let rec go (e : vedge) =
@@ -300,7 +300,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
             Cache.add kv op nd.vid (-2) (-2) (r, r);
             r
         in
-        Pkg.vscale p (wcx e.vw) inner
+        Pkg.vscale_w p e.vw inner
   in
   (* native swap: [move2 ~put x] selects both [b_lo] branches of the
      subtree [x] and re-emits each in the [b_lo = put] slot, zero
@@ -334,8 +334,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
             Cache.add kv op nd.vid (-2) (-2) (r0, r1);
             (r0, r1)
         in
-        let w = wcx e.vw in
-        (Pkg.vscale p w r0, Pkg.vscale p w r1)
+        (Pkg.vscale_w p e.vw r0, Pkg.vscale_w p e.vw r1)
   in
   let rec swap_go (e : vedge) =
     if vedge_is_zero e then Pkg.vzero
@@ -360,7 +359,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
             Cache.add kv op nd.vid (-2) (-2) (r, r);
             r
         in
-        Pkg.vscale p (wcx e.vw) inner
+        Pkg.vscale_w p e.vw inner
   in
   if s.Pkg.gs_swap then swap_go v else go v
 
@@ -388,14 +387,10 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
       match e.mt with
       | None -> invalid_arg "Mat.mul_gate: operand too shallow"
       | Some nd ->
-        if Ct.is_one e.mw then (nd.m00, nd.m01, nd.m10, nd.m11)
-        else begin
-          let w = wcx e.mw in
-          ( Pkg.mscale p w nd.m00
-          , Pkg.mscale p w nd.m01
-          , Pkg.mscale p w nd.m10
-          , Pkg.mscale p w nd.m11 )
-        end
+        ( Pkg.mscale_w p e.mw nd.m00
+        , Pkg.mscale_w p e.mw nd.m01
+        , Pkg.mscale_w p e.mw nd.m10
+        , Pkg.mscale_w p e.mw nd.m11 )
   in
   (* controls strictly below the target; on the left [k] is the result row
      and the recursion tracks row blocks, on the right [k] is the result
@@ -409,12 +404,14 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
     if medge_is_zero x && medge_is_zero y then (Pkg.mzero, Pkg.mzero)
     else begin
       let lead, x, y =
-        if medge_is_zero x then (wcx y.mw, x, { y with mw = Ct.one })
+        if medge_is_zero x then (y.mw, x, { y with mw = Ct.one })
         else begin
-          let wx = wcx x.mw in
-          let ratio = Pkg.weight p (Cx.div (wcx y.mw) wx) in
+          let ratio =
+            if Ct.is_one x.mw then y.mw
+            else Pkg.weight p (Cx.div (wcx y.mw) (wcx x.mw))
+          in
           let y = if Ct.is_zero ratio then Pkg.mzero else { y with mw = ratio } in
-          (wx, { x with mw = Ct.one }, y)
+          (x.mw, { x with mw = Ct.one }, y)
         end
       in
       (* [-3] marks a zero [x] — [mnode_id] cannot tell it apart from a
@@ -473,7 +470,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
           Cache.add km op xi yi y.mw.id (r0, r1);
           (r0, r1)
       in
-      (Pkg.mscale p lead r0, Pkg.mscale p lead r1)
+      (Pkg.mscale_w p lead r0, Pkg.mscale_w p lead r1)
     end
   in
   (* diagonal gate (u01 = u10 = 0) with controls below: slice [k] of the
@@ -522,7 +519,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
               Cache.add km op nd.mid (-2) (-2) (r, r);
               r
           in
-          Pkg.mscale p (wcx e.mw) inner
+          Pkg.mscale_w p e.mw inner
         end
   in
   let rec go (e : medge) =
@@ -577,7 +574,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
             Cache.add km op nd.mid (-2) (-2) (r, r);
             r
         in
-        Pkg.mscale p (wcx e.mw) inner
+        Pkg.mscale_w p e.mw inner
   in
   (* native swap: SWAP * M permutes rows, M * SWAP permutes columns (SWAP
      is self-adjoint).  [move2 ~put x] extracts both rows (resp. columns)
@@ -622,8 +619,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
             Cache.add km op nd.mid (-2) (-2) (r0, r1);
             (r0, r1)
         in
-        let w = wcx e.mw in
-        (Pkg.mscale p w r0, Pkg.mscale p w r1)
+        (Pkg.mscale_w p e.mw r0, Pkg.mscale_w p e.mw r1)
   in
   let rec swap_go (e : medge) =
     if medge_is_zero e then Pkg.mzero
@@ -659,7 +655,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
             Cache.add km op nd.mid (-2) (-2) (r, r);
             r
         in
-        Pkg.mscale p (wcx e.mw) inner
+        Pkg.mscale_w p e.mw inner
   in
   if s.Pkg.gs_swap then swap_go m else go m
 

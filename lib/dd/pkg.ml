@@ -311,6 +311,17 @@ let hashcons_mnode p var e00 e01 e10 e11 =
     M.observe g_mnodes_peak p.mtab.ucount;
     n
 
+(* [Cx.abs] of a weight, read straight from its record. *)
+let[@inline] wabs (w : weight) = Float.sqrt ((w.re *. w.re) +. (w.im *. w.im))
+
+(* Identity fast paths.  [Ct.lookup] maps every interned value to itself
+   (a value is only inserted when no stored value matches it, and matching
+   is symmetric), and multiplying or dividing by exactly 1+0i is exact up
+   to the sign of a zero component, which neither [Cx.abs] nor the lookup
+   sees.  So whenever a factor is the weight [one], the scaled weight is
+   the other factor's interned weight, and the arithmetic and the lookup
+   can be skipped without changing any node or weight. *)
+
 (* Vector normalization: divide successor weights by their 2-norm and by the
    phase of the first non-zero weight.  The resulting node has unit-norm
    weights with the first non-zero one real positive, which makes node
@@ -318,7 +329,12 @@ let hashcons_mnode p var e00 e01 e10 e11 =
    probabilistic reading. *)
 let make_vnode p var e0 e1 =
   guard p;
-  if vedge_is_zero e0 && vedge_is_zero e1 then vzero
+  let z0 = vedge_is_zero e0 and z1 = vedge_is_zero e1 in
+  if z0 && z1 then vzero
+  else if (z0 && Ct.is_one e1.vw) || (z1 && Ct.is_one e0.vw) then
+    (* a lone weight-one successor: norm and phase are exactly 1 *)
+    let n = if z0 then hashcons_vnode p var vzero e1 else hashcons_vnode p var e0 vzero in
+    { vw = w_one; vt = Some n }
   else begin
     let w0 = wcx e0.vw and w1 = wcx e1.vw in
     let norm = Float.sqrt (Cx.abs2 w0 +. Cx.abs2 w1) in
@@ -345,35 +361,49 @@ let make_vnode p var e0 e1 =
   end
 
 (* Matrix normalization: divide by the largest-magnitude weight, lowest index
-   winning near-ties, so the dominant weight becomes exactly 1. *)
+   winning near-ties, so the dominant weight becomes exactly 1.  When that
+   weight already is [one], every other successor keeps its weight. *)
 let make_mnode p var e00 e01 e10 e11 =
   guard p;
-  let edges = [| e00; e01; e10; e11 |] in
-  let mags = Array.map (fun e -> Cx.abs (wcx e.mw)) edges in
-  let mmax = Array.fold_left Float.max 0.0 mags in
-  if Array.for_all medge_is_zero edges then mzero
+  let m0 = wabs e00.mw and m1 = wabs e01.mw and m2 = wabs e10.mw and m3 = wabs e11.mw in
+  let mmax = Float.max (Float.max (Float.max (Float.max 0.0 m0) m1) m2) m3 in
+  if medge_is_zero e00 && medge_is_zero e01 && medge_is_zero e10 && medge_is_zero e11
+  then mzero
   else if not (Float.is_finite mmax) then
     invalid_arg "Dd.Pkg.make_mnode: non-finite edge weight (check gate angles)"
   else begin
     (* ties on the leading magnitude are broken towards the lowest index,
        with a relative margin so drift cannot flip the choice *)
-    let rec lead_index k =
-      if mags.(k) >= mmax *. (1.0 -. 1e-9) then k else lead_index (k + 1)
-    in
-    let k = lead_index 0 in
-    let factor = wcx edges.(k).mw in
-    let renorm idx e =
-      if medge_is_zero e then mzero
-      else if idx = k then { mw = w_one; mt = e.mt }
-      else begin
-        let w' = Cx.div (wcx e.mw) factor in
-        if Cx.abs w' <= tol p then mzero else { mw = weight p w'; mt = e.mt }
-      end
-    in
-    let n =
-      hashcons_mnode p var (renorm 0 e00) (renorm 1 e01) (renorm 2 e10) (renorm 3 e11)
-    in
-    { mw = weight p factor; mt = Some n }
+    let cut = mmax *. (1.0 -. 1e-9) in
+    let k = if m0 >= cut then 0 else if m1 >= cut then 1 else if m2 >= cut then 2 else 3 in
+    let lead = match k with 0 -> e00 | 1 -> e01 | 2 -> e10 | _ -> e11 in
+    let tol = tol p in
+    if Ct.is_one lead.mw then begin
+      (* dividing by one changes no weight, so only the zero and tol tests
+         remain *)
+      let keep idx m e = if medge_is_zero e || (idx <> k && m <= tol) then mzero else e in
+      let n =
+        hashcons_mnode p var (keep 0 m0 e00) (keep 1 m1 e01) (keep 2 m2 e10)
+          (keep 3 m3 e11)
+      in
+      { mw = w_one; mt = Some n }
+    end
+    else begin
+      let factor = wcx lead.mw in
+      let renorm idx e =
+        if medge_is_zero e then mzero
+        else if idx = k then { mw = w_one; mt = e.mt }
+        else begin
+          let w' = Cx.div (wcx e.mw) factor in
+          if Cx.abs w' <= tol then mzero else { mw = weight p w'; mt = e.mt }
+        end
+      in
+      let n =
+        hashcons_mnode p var (renorm 0 e00) (renorm 1 e01) (renorm 2 e10) (renorm 3 e11)
+      in
+      (* [weight p factor] is the lead's own weight *)
+      { mw = lead.mw; mt = Some n }
+    end
   end
 
 let vscale p z e =
@@ -389,6 +419,18 @@ let mscale p z e =
     let w = weight p (Cx.mul z (wcx e.mw)) in
     if Ct.is_zero w then mzero else { mw = w; mt = e.mt }
   end
+
+let vscale_w p (w : weight) e =
+  if vedge_is_zero e || Ct.is_zero w then vzero
+  else if Ct.is_one w then e
+  else if Ct.is_one e.vw then { vw = w; vt = e.vt }
+  else vscale p (wcx w) e
+
+let mscale_w p (w : weight) e =
+  if medge_is_zero e || Ct.is_zero w then mzero
+  else if Ct.is_one w then e
+  else if Ct.is_one e.mw then { mw = w; mt = e.mt }
+  else mscale p (wcx w) e
 
 (* The memoized identity chain lives in a growable array indexed by qubit
    count, so the lookup is O(1) — it sits on the kernel fast path for every

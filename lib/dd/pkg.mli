@@ -103,13 +103,22 @@ val make_vnode : t -> int -> vedge -> vedge -> vedge
 
 (** [make_mnode p var e00 e01 e10 e11] is the matrix analogue.
     Normalization divides by the largest-magnitude weight (ties broken by
-    lowest index), so the largest weight becomes exactly 1. *)
+    lowest index), so the largest weight becomes exactly 1.  The returned
+    weight is that successor's own interned weight. *)
 val make_mnode : t -> int -> medge -> medge -> medge -> medge -> medge
 
 (** [vscale p z e] multiplies an edge weight by [z]. *)
 val vscale : t -> Cxnum.Cx.t -> vedge -> vedge
 
 val mscale : t -> Cxnum.Cx.t -> medge -> medge
+
+(** [vscale_w p w e] is [vscale p (to_cx w) e] for a weight [w] interned in
+    [p]: when either factor is {!w_one} it returns the other without
+    arithmetic or lookup, which gives the same edge because interning maps
+    every interned value to itself. *)
+val vscale_w : t -> weight -> vedge -> vedge
+
+val mscale_w : t -> weight -> medge -> medge
 
 (** {1 Common diagrams} *)
 

@@ -15,29 +15,31 @@ let rec add p (a : vedge) (b : vedge) =
   else if vedge_is_zero b then a
   else begin
     let a, b = if vnode_id a.vt <= vnode_id b.vt then (a, b) else (b, a) in
-    let wa = wcx a.vw and wb = wcx b.vw in
     match (a.vt, b.vt) with
     | None, None ->
+      let wa = wcx a.vw and wb = wcx b.vw in
       (* cancellation residue is tiny relative to the operands, not in
          absolute terms — test at the operands' scale *)
       let s = Cx.add wa wb in
       if Cx.abs s <= Pkg.tol p *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.vzero
       else Pkg.vterminal p s
     | Some na, Some nb ->
-      let ratio = Pkg.weight p (Cx.div wb wa) in
+      (* w_b / 1 interns to w_b itself *)
+      let ratio =
+        if Ct.is_one a.vw then b.vw else Pkg.weight p (Cx.div (wcx b.vw) (wcx a.vw))
+      in
       let cache = Pkg.vadd_cache p in
       let inner =
         match Cache.find cache na.vid nb.vid ratio.id (-2) with
         | Some e -> e
         | None ->
-          let rb = wcx ratio in
-          let e0 = add p na.v0 (Pkg.vscale p rb nb.v0) in
-          let e1 = add p na.v1 (Pkg.vscale p rb nb.v1) in
+          let e0 = add p na.v0 (Pkg.vscale_w p ratio nb.v0) in
+          let e1 = add p na.v1 (Pkg.vscale_w p ratio nb.v1) in
           let e = Pkg.make_vnode p na.vvar e0 e1 in
           Cache.add cache na.vid nb.vid ratio.id (-2) e;
           e
       in
-      Pkg.vscale p wa inner
+      Pkg.vscale_w p a.vw inner
     | _ -> invalid_arg "Vec.add: operands of different dimension"
   end
 
@@ -135,7 +137,7 @@ let project p (a : vedge) q outcome =
            else begin
              let sub (child : vedge) =
                if vedge_is_zero child then Pkg.vzero
-               else Pkg.vscale p (wcx child.vw) (go child.vt)
+               else Pkg.vscale_w p child.vw (go child.vt)
              in
              Pkg.make_vnode p n.vvar (sub n.v0) (sub n.v1)
            end
@@ -145,7 +147,7 @@ let project p (a : vedge) q outcome =
   in
   if vedge_is_zero a then invalid_arg "Vec.project: zero state"
   else begin
-    let projected = Pkg.vscale p (wcx a.vw) (go a.vt) in
+    let projected = Pkg.vscale_w p a.vw (go a.vt) in
     let nrm = norm p projected in
     if nrm <= Pkg.tol p then invalid_arg "Vec.project: outcome has zero probability"
     else Pkg.vscale p (Cx.of_float (1.0 /. nrm)) projected

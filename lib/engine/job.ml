@@ -1,5 +1,5 @@
 module Circ = Circuit.Circ
-module Json = Obs.Json
+module Json = Qcec_json
 
 type source =
   | Files of

@@ -158,13 +158,13 @@ val pp_result : Format.formatter -> result -> unit
 
 val schema : string
 
-val to_json : result -> Obs.Json.t
+val to_json : result -> Qcec_json.t
 
 (** [of_json j] inverts {!to_json} exactly: for any [r],
     [of_json (of_string (Json.to_string (to_json r)))] is [Ok r].  Keys
     it does not read are ignored, so lines written by earlier versions
     (which carried a ["backend"] field) still parse. *)
-val of_json : Obs.Json.t -> (result, string) Stdlib.result
+val of_json : Qcec_json.t -> (result, string) Stdlib.result
 
 (** [of_string line] parses one JSONL line. *)
 val of_string : string -> (result, string) Stdlib.result

@@ -1,4 +1,4 @@
-module Json = Obs.Json
+module Json = Qcec_json
 
 type defaults =
   { strategy : Qcec.Strategy.t option

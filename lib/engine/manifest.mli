@@ -73,7 +73,7 @@ val load : string -> (t, string) result
 
 (** [of_json ?dir j] compiles an already-parsed manifest document.  [dir]
     (default ".") anchors relative circuit paths. *)
-val of_json : ?dir:string -> Obs.Json.t -> (t, string) result
+val of_json : ?dir:string -> Qcec_json.t -> (t, string) result
 
 (** [pair_files paths] pairs a flat file list consecutively:
     [[a; b; c; d]] becomes [[(a, b); (c, d)]].  An odd count is an

@@ -1,4 +1,4 @@
-module Json = Obs.Json
+module Json = Qcec_json
 
 let schema = "qcec-batch/v1"
 

@@ -17,4 +17,4 @@ val read_jsonl : string -> (Job.result list, string) result
     counts, wall/cpu seconds, cpu/wall speedup, nearest-rank p50/p95/p99/max
     latencies, per-exit-class counts, and the batch-attributable merged
     metrics and spans. *)
-val aggregate : Pool.batch -> Obs.Json.t
+val aggregate : Pool.batch -> Qcec_json.t

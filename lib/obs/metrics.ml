@@ -145,4 +145,4 @@ let reset () =
   let a = !(Domain.DLS.get slots_key) in
   Array.fill a 0 (Array.length a) 0
 
-let to_json s = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) s)
+let to_json s = Qcec_json.Obj (List.map (fun (name, v) -> (name, Qcec_json.Int v)) s)

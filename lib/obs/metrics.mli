@@ -85,4 +85,4 @@ val reset : unit -> unit
 
 (** [to_json s] is the snapshot as a JSON object, one numeric field per
     metric. *)
-val to_json : snapshot -> Json.t
+val to_json : snapshot -> Qcec_json.t

@@ -83,13 +83,13 @@ let reset () =
   st.stack <- []
 
 let entries_to_json entries =
-  Json.List
+  Qcec_json.List
     (List.map
        (fun e ->
-         Json.Obj
-           [ ("path", Json.String e.path)
-           ; ("count", Json.Int e.count)
-           ; ("seconds", Json.Float e.seconds)
+         Qcec_json.Obj
+           [ ("path", Qcec_json.String e.path)
+           ; ("count", Qcec_json.Int e.count)
+           ; ("seconds", Qcec_json.Float e.seconds)
            ])
        entries)
 

@@ -36,7 +36,7 @@ val reset : unit -> unit
 
 (** [entries_to_json entries] serializes a report (e.g. one harvested from
     a worker domain). *)
-val entries_to_json : entry list -> Json.t
+val entries_to_json : entry list -> Qcec_json.t
 
 (** [to_json ()] is [entries_to_json (report ())]. *)
-val to_json : unit -> Json.t
+val to_json : unit -> Qcec_json.t

@@ -15,15 +15,30 @@ type job =
   ; mutable seq : int
   }
 
+(* Only the [retain] most recently finished jobs are kept; queued and
+   running ones always are.  [order] may still list evicted ids: [fold] skips
+   them, and [add] drops them once they outnumber the retained jobs, so
+   its length stays within twice the table's. *)
 type t =
   { lock : Mutex.t
   ; jobs : (string, job) Hashtbl.t
   ; order : string Queue.t (* submission order, for listing *)
+  ; finished : string Queue.t (* completion order, oldest first *)
+  ; retain : int
   ; mutable counter : int
   }
 
-let create () =
-  { lock = Mutex.create (); jobs = Hashtbl.create 64; order = Queue.create (); counter = 0 }
+let default_retain = 4096
+
+let create ?(retain = default_retain) () =
+  if retain < 0 then invalid_arg "Registry.create: negative retain";
+  { lock = Mutex.create ()
+  ; jobs = Hashtbl.create 64
+  ; order = Queue.create ()
+  ; finished = Queue.create ()
+  ; retain
+  ; counter = 0
+  }
 
 let state_string = function
   | Queued -> "queued"
@@ -39,12 +54,22 @@ let add t ~label ~control =
     in
     Hashtbl.replace t.jobs id j;
     Queue.add id t.order;
+    if Queue.length t.order > 2 * Hashtbl.length t.jobs then begin
+      let live = Queue.copy t.order in
+      Queue.clear t.order;
+      Queue.iter (fun id -> if Hashtbl.mem t.jobs id then Queue.add id t.order) live
+    end;
     j)
 
 let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id)
 
 let emit t j ?state ~event data =
   Mutex.protect t.lock (fun () ->
+    (match (j.state, state) with
+     | (Queued | Running), Some (Done _) ->
+       Queue.add j.id t.finished;
+       if Queue.length t.finished > t.retain then Hashtbl.remove t.jobs (Queue.pop t.finished)
+     | _ -> ());
     Option.iter (fun s -> j.state <- s) state;
     j.seq <- j.seq + 1;
     j.events <- (j.seq, event, data) :: j.events)

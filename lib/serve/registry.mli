@@ -1,5 +1,6 @@
 (** The daemon's job table: every submission gets an id, a lifecycle state
-    and an append-only event log.
+    and an append-only event log.  Memory stays bounded: only the newest
+    finished jobs are kept (see {!create}).
 
     Events are the SSE source of truth: each carries a job-local,
     monotonically increasing sequence number, so a streaming handler (or a
@@ -28,7 +29,12 @@ type job = private
 
 type t
 
-val create : unit -> t
+(** [create ?retain ()] makes an empty registry that keeps the [retain]
+    most recently finished jobs (default 4096) with their event logs.
+    Finishing one more evicts the oldest finished job, so {!find} no
+    longer knows its id; queued and running jobs are never evicted.  A
+    stream already holding an evicted job still reads its events. *)
+val create : ?retain:int -> unit -> t
 
 (** [add t ~label ~control] registers a new job in state [Queued] and
     assigns it the next id ([job-000001], ...). *)

@@ -380,8 +380,12 @@ let handle_events t fd (req : Http.request) (j : Registry.job) =
           end
           else last_write
         in
-        (* stdlib [Condition] has no timed wait, so the stream polls; 20 Hz
-           keeps latency invisible at negligible cost *)
+        (* stdlib [Condition] has no timed wait, so the stream polls at
+           20 Hz.  The poll dominates a short job's latency: the [done]
+           frame goes out at the next tick, up to 50 ms after the job
+           finished.  Waking streams on a condition variable removes that
+           wait, but lets closed-loop clients drive the engine harder,
+           which raised job time and memory (see ROADMAP). *)
         Thread.delay 0.05;
         loop seq last_write
       end

@@ -221,16 +221,16 @@ let test_lint_json_roundtrip () =
       ]
   in
   let doc = A.Diagnostic.report_to_json [ ("c.qasm", lint c) ] in
-  let str = Obs.Json.to_string ~pretty:true doc in
-  let back = Obs.Json.of_string str in
-  Alcotest.(check bool) "round trips" true (Obs.Json.equal doc back);
-  (match Obs.Json.member "schema" back with
-   | Some (Obs.Json.String s) -> Alcotest.(check string) "schema" "qcec-lint/v1" s
+  let str = Qcec_json.to_string ~pretty:true doc in
+  let back = Qcec_json.of_string str in
+  Alcotest.(check bool) "round trips" true (Qcec_json.equal doc back);
+  (match Qcec_json.member "schema" back with
+   | Some (Qcec_json.String s) -> Alcotest.(check string) "schema" "qcec-lint/v1" s
    | _ -> Alcotest.fail "missing schema field");
-  (match Obs.Json.member "summary" back with
+  (match Qcec_json.member "summary" back with
    | Some summary ->
-     (match Obs.Json.member "warnings" summary with
-      | Some (Obs.Json.Int n) ->
+     (match Qcec_json.member "warnings" summary with
+      | Some (Qcec_json.Int n) ->
         Alcotest.(check bool) "counted the QA002/QA001 warnings" true (n >= 1)
       | _ -> Alcotest.fail "missing warnings count")
    | None -> Alcotest.fail "missing summary");

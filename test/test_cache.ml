@@ -342,7 +342,7 @@ let test_engine_with_cache () =
 
 let test_manifest_skip () =
   let doc =
-    Obs.Json.of_string
+    Qcec_json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "seed": 20,
           "jobs": [
@@ -367,7 +367,7 @@ let test_manifest_skip () =
 let test_zero_job_batch () =
   (* every job skipped compiles to an empty manifest ... *)
   let doc =
-    Obs.Json.of_string
+    Qcec_json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "jobs": [ { "a": "a.qasm", "b": "b.qasm", "skip": true } ] }|}
   in
@@ -379,9 +379,9 @@ let test_zero_job_batch () =
   let batch = Pool.run { Pool.default_config with Pool.workers = 4 } [] in
   Alcotest.(check int) "no results" 0 (List.length batch.Pool.results);
   match Engine.Results.aggregate batch with
-  | Obs.Json.Obj fields ->
+  | Qcec_json.Obj fields ->
     Alcotest.(check bool) "summary still counts zero jobs" true
-      (List.assoc "jobs" fields = Obs.Json.Int 0)
+      (List.assoc "jobs" fields = Qcec_json.Int 0)
   | _ -> Alcotest.fail "aggregate must produce an object"
 
 let suite =

@@ -533,6 +533,102 @@ let test_node_count_domains () =
     (Dd.Marks.visit m (2 * Dd.Marks.length ()));
   Alcotest.(check bool) "earlier mark survives growth" false (Dd.Marks.visit m 5)
 
+(* Differential oracle for the identity fast paths of normalization and
+   scaling: [make_mnode], [make_vnode], [mscale_w]/[vscale_w] and the raw
+   [mscale]/[vscale] against the arithmetic they replaced
+   ([Normalize_ref]).  Edges draw on zero edges (some still carrying a
+   target), the weight one, weights at or below tol, leads within the
+   near-tie margin of a larger weight, and random amplitudes; half the
+   cases run after a [compact], on weights interned after it.  The oracle
+   runs first on each case, so both sides see the same complex table, and
+   every successor's weight id and node id must agree, as must the
+   returned weight id. *)
+let normalize_agrees ~seed =
+  let open Dd.Types in
+  let rng = Random.State.make [| seed |] in
+  let p = Dd.Pkg.create () in
+  let tol = Dd.Pkg.tol p and s2 = Cx.sqrt2_inv in
+  let pool =
+    [| Cx.one; Cx.minus_one; Cx.i; Cx.make s2 0.0; Cx.make 0.0 (-.s2); Cx.of_float 0.5
+     ; Cx.make 0.3 0.4; Cx.make 2.0 (-1.0); Cx.of_float 1e-11; Cx.make 0.0 (-.tol)
+     ; Cx.make (0.6 *. tol) (0.8 *. tol); Cx.of_float (1.0 -. 5e-10)
+     ; Cx.make 0.0 (1.0 -. 3e-10); Cx.of_float 0.6; Cx.of_float (0.6 *. (1.0 +. 4e-10))
+     ; Cx.make (s2 *. (1.0 -. 2e-10)) (-.s2)
+    |]
+  in
+  let amp () =
+    if Random.State.int rng 4 = 0 then
+      Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)
+    else pool.(Random.State.int rng (Array.length pool))
+  in
+  let mbase =
+    [| Dd.Pkg.ident p 1
+     ; Dd.Pkg.make_mnode p 0 (Dd.Pkg.mterminal p (Cx.of_float 0.5))
+         (Dd.Pkg.mterminal p Cx.i) Dd.Pkg.mzero (Dd.Pkg.mterminal p Cx.one)
+    |]
+  and vbase =
+    [| Dd.Pkg.basis_state p 1 (fun _ -> true); Dd.Pkg.product_state p [| (Cx.one, Cx.i) |] |]
+  in
+  let mroots = Array.map (Dd.Pkg.root_m p) mbase
+  and vroots = Array.map (Dd.Pkg.root_v p) vbase in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let weight () =
+    match Random.State.int rng 6 with
+    | 0 -> Dd.Pkg.w_zero
+    | 1 | 2 -> Dd.Pkg.w_one
+    | _ -> Dd.Pkg.weight p (amp ())
+  in
+  let medge () =
+    let t = (Dd.Pkg.mroot_edge (pick mroots)).mt in
+    if Random.State.int rng 8 = 0 then Dd.Pkg.mzero else { mw = weight (); mt = t }
+  and vedge () =
+    let t = (Dd.Pkg.vroot_edge (pick vroots)).vt in
+    if Random.State.int rng 8 = 0 then Dd.Pkg.vzero else { vw = weight (); vt = t }
+  in
+  let msame (a : medge) (b : medge) = a.mw.id = b.mw.id && mnode_id a.mt = mnode_id b.mt
+  and vsame (a : vedge) (b : vedge) = a.vw.id = b.vw.id && vnode_id a.vt = vnode_id b.vt in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  let case () =
+    let e00 = medge () and e01 = medge () and e10 = medge () and e11 = medge () in
+    let expected = Normalize_ref.mnode p e00 e01 e10 e11 in
+    let got = Dd.Pkg.make_mnode p 1 e00 e01 e10 e11 in
+    (match (expected, got.mt) with
+     | None, None -> check (medge_is_zero got)
+     | Some (s, w), Some n ->
+       check
+         (w.id = got.mw.id && msame s.(0) n.m00 && msame s.(1) n.m01
+          && msame s.(2) n.m10 && msame s.(3) n.m11)
+     | _ -> check false);
+    let e0 = vedge () and e1 = vedge () in
+    let expected = Normalize_ref.vnode p e0 e1 in
+    let got = Dd.Pkg.make_vnode p 1 e0 e1 in
+    (match (expected, got.vt) with
+     | None, None -> check (vedge_is_zero got)
+     | Some (s, w), Some n -> check (w.id = got.vw.id && vsame s.(0) n.v0 && vsame s.(1) n.v1)
+     | _ -> check false);
+    let w = weight () and me = medge () and ve = vedge () in
+    let em = Normalize_ref.mscale p (Cxnum.Cx_table.to_cx w) me
+    and ev = Normalize_ref.vscale p (Cxnum.Cx_table.to_cx w) ve in
+    check (msame em (Dd.Pkg.mscale_w p w me) && vsame ev (Dd.Pkg.vscale_w p w ve));
+    let z = amp () in
+    let em = Normalize_ref.mscale p z me and ev = Normalize_ref.vscale p z ve in
+    check (msame em (Dd.Pkg.mscale p z me) && vsame ev (Dd.Pkg.vscale p z ve))
+  in
+  for _ = 1 to 200 do
+    case ()
+  done;
+  Dd.Pkg.compact p;
+  for _ = 1 to 200 do
+    case ()
+  done;
+  !ok
+
+let prop_normalize_matches_reference =
+  QCheck.Test.make ~name:"normalization fast paths match the reference arithmetic"
+    ~count:40 QCheck.(int_bound 1_000_000)
+    (fun seed -> normalize_agrees ~seed)
+
 (* distinct non-canonical weight ids reachable from a rooted vector *)
 let reachable_weight_count (e : Dd.Types.vedge) =
   let ids = Hashtbl.create 64 and seen = Hashtbl.create 64 in
@@ -641,6 +737,7 @@ let suite =
       test_zero_capacity_cache_disabled
   ; Util.qtest prop_cache_matches_reference
   ; Util.qtest prop_node_count_matches_reference
+  ; Util.qtest prop_normalize_matches_reference
   ; Alcotest.test_case "node counts in two domains, marks grow" `Quick
       test_node_count_domains
   ; Alcotest.test_case "compact rebuilds the weight table" `Quick

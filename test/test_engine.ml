@@ -194,7 +194,7 @@ let test_batch_metrics () =
 
 let test_manifest_compile () =
   let doc =
-    Obs.Json.of_string
+    Qcec_json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "seed": 7,
           "defaults": { "strategy": "lookahead", "timeout": 30, "retries": 1,
@@ -239,7 +239,7 @@ let test_manifest_compile () =
 
 let test_manifest_errors () =
   let bad s =
-    match Manifest.of_json (Obs.Json.of_string s) with
+    match Manifest.of_json (Qcec_json.of_string s) with
     | Ok _ -> Alcotest.fail "expected a manifest error"
     | Error _ -> ()
   in
@@ -323,7 +323,7 @@ let gen_result =
 let prop_result_roundtrip =
   QCheck.Test.make ~count:200 ~name:"qcec-result/v1 JSONL round trip"
     (QCheck.make gen_result) (fun r ->
-      match Job.of_string (Obs.Json.to_string (Job.to_json r)) with
+      match Job.of_string (Qcec_json.to_string (Job.to_json r)) with
       | Ok r' -> r = r'
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
@@ -346,9 +346,9 @@ let test_result_legacy_backend () =
      | Job.Failed _ -> Alcotest.fail "expected a verdict");
     let j = Job.to_json r in
     Alcotest.(check bool) "backend no longer written" true
-      (Obs.Json.member "backend" j = None);
+      (Qcec_json.member "backend" j = None);
     Alcotest.(check bool) "re-serialized line round-trips" true
-      (Job.of_string (Obs.Json.to_string j) = Ok r)
+      (Job.of_string (Qcec_json.to_string j) = Ok r)
 
 (* -- the DD package is single-domain ------------------------------------ *)
 

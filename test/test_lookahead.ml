@@ -79,7 +79,7 @@ let test_qpe_peak () =
 
 let test_manifest_scheme () =
   let doc =
-    Obs.Json.of_string
+    Qcec_json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "defaults": { "scheme": "auto" },
           "jobs": [
@@ -103,7 +103,7 @@ let test_manifest_scheme () =
 let test_manifest_scheme_errors () =
   match
     Manifest.of_json
-      (Obs.Json.of_string
+      (Qcec_json.of_string
          {|{ "schema": "qcec-manifest/v1",
              "jobs": [ { "a": "a.qasm", "b": "b.qasm", "scheme": "frobnicate" } ] }|})
   with

@@ -5,7 +5,7 @@
 
 module M = Obs.Metrics
 module Span = Obs.Span
-module Json = Obs.Json
+module Json = Qcec_json
 
 let with_metrics f =
   M.set_enabled true;

@@ -319,21 +319,21 @@ let test_cost_recommend () =
 (* -- JSON surfaces ------------------------------------------------------ *)
 
 let member name j =
-  match Obs.Json.member name j with
+  match Qcec_json.member name j with
   | Some v -> v
   | None -> Alcotest.failf "missing field %S" name
 
 let test_analysis_json () =
   let pair = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 6) in
   let j = A.Cost.to_json (A.Cost.profile pair.Algorithms.Pair.static_circuit) in
-  let str = Obs.Json.to_string ~pretty:true j in
+  let str = Qcec_json.to_string ~pretty:true j in
   Alcotest.(check bool) "round trips" true
-    (Obs.Json.equal j (Obs.Json.of_string str));
+    (Qcec_json.equal j (Qcec_json.of_string str));
   List.iter
     (fun f -> ignore (member f j))
     [ "num_qubits"; "total_ops"; "clifford"; "interaction"; "cancellation"; "cost" ];
   match member "total" (member "cost" j) with
-  | Obs.Json.Float t -> Alcotest.(check bool) "positive total" true (t > 0.0)
+  | Qcec_json.Float t -> Alcotest.(check bool) "positive total" true (t > 0.0)
   | _ -> Alcotest.fail "cost.total is not a number"
 
 let test_lint_v2_json () =
@@ -349,24 +349,24 @@ let test_lint_v2_json () =
   in
   let j = A.Report.to_json report in
   (match member "schema" j with
-   | Obs.Json.String s -> Alcotest.(check string) "schema" "qcec-lint/v2" s
+   | Qcec_json.String s -> Alcotest.(check string) "schema" "qcec-lint/v2" s
    | _ -> Alcotest.fail "schema is not a string");
   match member "files" j with
-  | Obs.Json.List [ ok; broken ] ->
+  | Qcec_json.List [ ok; broken ] ->
     (* v1 fields survive untouched next to the new classifier block *)
     ignore (member "diagnostics" ok);
     let classifier = member "classifier" ok in
     (match member "route" classifier with
-     | Obs.Json.String s -> Alcotest.(check string) "routed" "unitary" s
+     | Qcec_json.String s -> Alcotest.(check string) "routed" "unitary" s
      | _ -> Alcotest.fail "route is not a string");
     (match member "admits" classifier with
-     | Obs.Json.Obj kvs ->
+     | Qcec_json.Obj kvs ->
        Alcotest.(check (list string)) "admits keys"
          [ "unitary"; "transformation"; "extraction" ]
          (List.map fst kvs)
      | _ -> Alcotest.fail "admits is not an object");
     (match member "classifier" broken with
-     | Obs.Json.Null -> ()
+     | Qcec_json.Null -> ()
      | _ -> Alcotest.fail "unparsed file must carry a null classifier")
   | _ -> Alcotest.fail "files is not a 2-list"
 

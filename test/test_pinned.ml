@@ -141,3 +141,35 @@ let suite =
   @ [ Alcotest.test_case "bounded caches: Pkg.stats, peak, evictions, sweeps" `Quick
         test_bounded
     ]
+
+(* Interning traffic of Scheme 1: the [cx.table.hits] of one
+   [Verify.functional] run per pair.  Normalization and scaling skip the
+   lookup whenever a factor is exactly one, since interning maps an
+   interned weight to itself; code that divides or multiplies by one and
+   re-interns the result again raises these counts long before it shows
+   in a benchmark.  Recorded with those fast paths in place. *)
+let functional_hits (pair : Pair.t) =
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      let before = Obs.Metrics.snapshot () in
+      let r =
+        Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static pair.Pair.static_circuit
+          pair.Pair.dynamic_circuit
+      in
+      let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+      Alcotest.(check bool) "equivalent" true r.Qcec.Verify.equivalent;
+      Obs.Metrics.find d "cx.table.hits")
+
+let expected_hits = [ ("bv", 2681); ("qft", 588); ("qpe_textbook", 12767) ]
+
+let test_hits () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check int) name want (functional_hits (List.assoc name pairs)))
+    expected_hits
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "functional: interning hits" `Quick test_hits ]

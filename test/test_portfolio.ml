@@ -377,7 +377,7 @@ let prop_portfolio_determinism =
 
 let test_manifest_portfolio () =
   let doc =
-    Obs.Json.of_string
+    Qcec_json.of_string
       {|{ "schema": "qcec-manifest/v1",
           "defaults": { "portfolio": 4 },
           "jobs": [
@@ -394,7 +394,7 @@ let test_manifest_portfolio () =
      Alcotest.(check (option int)) "per-job width overrides" (Some 2) (p 2));
   match
     Engine.Manifest.of_json
-      (Obs.Json.of_string
+      (Qcec_json.of_string
          {|{ "schema": "qcec-manifest/v1",
              "jobs": [ { "a": "a.qasm", "b": "b.qasm", "portfolio": 1 } ] }|})
   with

@@ -28,10 +28,11 @@ let test_json_control_chars () =
     (Json.to_string (Json.String "\x01\n\t\\"))
 
 let test_json_shared_with_obs () =
-  (* lib/obs re-exports the factored module: the types are one and the
-     same, so values cross layer boundaries without conversion *)
-  let v = Json.Obj [ ("x", Json.Int 1) ] in
-  Alcotest.(check string) "Obs.Json is Qcec_json" (Obs.Json.to_string v) (Json.to_string v)
+  (* the observability layer emits [Qcec_json] values directly, so its
+     reports cross into the service's responses without conversion *)
+  let v : Json.t = Obs.Metrics.to_json [ ("x", 1) ] in
+  Alcotest.(check string) "metrics render through Qcec_json" "{\"x\":1}" (Json.to_string v);
+  Alcotest.(check bool) "and parse back" true (Json.equal v (Json.of_string (Json.to_string v)))
 
 (* -- HTTP request parsing --------------------------------------------- *)
 
@@ -110,6 +111,51 @@ let test_sse_roundtrip () =
       Alcotest.(check (option string)) "event" e.Sse.event d.Sse.event;
       Alcotest.(check string) "data" e.Sse.data d.Sse.data)
     events decoded
+
+(* -- job registry: bounded retention ----------------------------------- *)
+
+let test_registry_retain () =
+  let module R = Serve.Registry in
+  let r = R.create ~retain:2 () in
+  let result i =
+    { Job.index = i
+    ; label = "j"
+    ; files_checked = None
+    ; outcome = Job.Failed { reason = Job.Cancelled; message = "test" }
+    ; duration = 0.0
+    ; attempts = 1
+    ; worker = 0
+    ; seed = None
+    ; metrics = []
+    }
+  in
+  let jobs = Array.init 6 (fun _ -> R.add r ~label:"j" ~control:(Pool.control ())) in
+  let finish i = R.emit r jobs.(i) ~state:(R.Done (result i)) ~event:"done" Json.Null in
+  let known i = R.find r jobs.(i).R.id <> None in
+  R.emit r jobs.(1) ~state:R.Running ~event:"started" Json.Null;
+  finish 2;
+  finish 3;
+  finish 4;
+  (* the oldest finished job goes; the older queued and running ones stay *)
+  Alcotest.(check (list bool)) "after three finish" [ true; true; false; true; true; true ]
+    (List.init 6 known);
+  finish 1;
+  Alcotest.(check (list bool)) "after the running job finishes"
+    [ true; true; false; false; true; true ] (List.init 6 known);
+  Alcotest.(check (triple int int int)) "counts" (2, 0, 2) (R.counts r);
+  Alcotest.(check (list string)) "listing in submission order"
+    (List.map (fun i -> jobs.(i).R.id) [ 0; 1; 4; 5 ])
+    (List.rev (R.fold r (fun acc j -> j.R.id :: acc) []));
+  (* an evicted job's record still serves a stream that holds it *)
+  Alcotest.(check int) "evicted events readable" 1
+    (List.length (R.events_after r jobs.(3) ~seq:0));
+  (* many more jobs: the table stays at the queued ones plus two *)
+  for _ = 1 to 50 do
+    let j = R.add r ~label:"k" ~control:(Pool.control ()) in
+    R.emit r j ~state:(R.Done (result 0)) ~event:"done" Json.Null
+  done;
+  Alcotest.(check (triple int int int)) "counts after churn" (2, 0, 2) (R.counts r);
+  Alcotest.(check int) "listing after churn" 4 (R.fold r (fun n _ -> n + 1) 0)
 
 (* -- token bucket ------------------------------------------------------ *)
 
@@ -541,6 +587,8 @@ let suite =
   ; Alcotest.test_case "http: malformed requests are 400" `Quick test_http_malformed
   ; Alcotest.test_case "sse: encode/decode round-trip" `Quick test_sse_roundtrip
   ; Alcotest.test_case "limiter: token-bucket accounting" `Quick test_limiter
+  ; Alcotest.test_case "registry: keeps only the newest finished jobs" `Quick
+      test_registry_retain
   ; Alcotest.test_case "e2e: submit, poll, verdict parity, warm cache" `Slow
       test_e2e_submit_poll_verdict
   ; Alcotest.test_case "e2e: SSE progress stream" `Slow test_e2e_sse_stream
