@@ -2,19 +2,21 @@
 
     A shared tier holds state that many domains consult but few produce:
     hash-consed gate-signature blueprints, verdict-store indexes.  Reads
-    go through a single {!Atomic.get} of an immutable snapshot — no lock,
-    no contention — while publishes copy the snapshot under a mutex and
-    swap it in atomically.  Values must therefore be treated as immutable
-    once published: the same value may be observed concurrently from any
-    number of domains.
+    take no lock: they load the table and one bucket, each through an
+    {!Atomic.get}, and walk an immutable list.  Publishes are serialized
+    by a mutex and replace one bucket's list, so they cost O(1) amortized
+    (the table doubles when it averages two bindings per bucket).  Values
+    must be treated as immutable once published: the same value may be
+    observed concurrently from any number of domains.
 
     This complements the [Dd.Pkg] domain-ownership guard rather than
     weakening it: mutable DD state (nodes, caches, roots) stays owned by
     one domain, and only frozen, domain-agnostic data crosses through a
     shared tier.
 
-    Publish cost is O(size) per call (copy-on-write), so this structure
-    suits read-dominated workloads; it is not a general concurrent map. *)
+    A reader sees every binding published before its lookup began, and
+    possibly later ones; it never sees a half-made binding.  There is no
+    removal other than {!clear}. *)
 
 type ('k, 'v) t
 
@@ -23,16 +25,16 @@ type ('k, 'v) t
     [<metrics>.misses] and [<metrics>.publishes] in {!Obs.Metrics}. *)
 val create : ?metrics:string -> unit -> ('k, 'v) t
 
-(** Lock-free lookup against the current snapshot. *)
+(** Lock-free lookup. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** [publish t k v] binds [k] to [v] in a fresh snapshot (replacing any
-    previous binding) and makes it visible to all domains.  Serialized by
-    an internal mutex; safe to call concurrently with {!find}. *)
+(** [publish t k v] binds [k] to [v] (replacing any previous binding) and
+    makes it visible to all domains.  Serialized by an internal mutex;
+    safe to call concurrently with {!find}.  O(1) amortized. *)
 val publish : ('k, 'v) t -> 'k -> 'v -> unit
 
-(** Number of bindings in the current snapshot. *)
+(** Number of bindings. *)
 val size : ('k, 'v) t -> int
 
-(** Drop every binding (used by tests; publishes an empty snapshot). *)
+(** Drop every binding (used by tests; publishes an empty table). *)
 val clear : ('k, 'v) t -> unit

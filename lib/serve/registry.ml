@@ -3,7 +3,7 @@ module Json = Qcec_json
 type state =
   | Queued
   | Running
-  | Done of Engine.Job.result
+  | Done
 
 type job =
   { id : string
@@ -11,7 +11,7 @@ type job =
   ; submitted : float
   ; control : Engine.Pool.control
   ; mutable state : state
-  ; mutable events : (int * string * Json.t) list (* newest first *)
+  ; mutable events : (int * string * string) list (* newest first *)
   ; mutable seq : int
   }
 
@@ -43,7 +43,7 @@ let create ?(retain = default_retain) () =
 let state_string = function
   | Queued -> "queued"
   | Running -> "running"
-  | Done _ -> "done"
+  | Done -> "done"
 
 let add t ~label ~control =
   Mutex.protect t.lock (fun () ->
@@ -64,9 +64,10 @@ let add t ~label ~control =
 let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id)
 
 let emit t j ?state ~event data =
+  let data = Json.to_string data in
   Mutex.protect t.lock (fun () ->
     (match (j.state, state) with
-     | (Queued | Running), Some (Done _) ->
+     | (Queued | Running), Some Done ->
        Queue.add j.id t.finished;
        if Queue.length t.finished > t.retain then Hashtbl.remove t.jobs (Queue.pop t.finished)
      | _ -> ());
@@ -81,6 +82,10 @@ let events_after t j ~seq =
     List.fold_left
       (fun acc ((s, _, _) as e) -> if s > seq then e :: acc else acc)
       [] j.events)
+
+let result t j =
+  Mutex.protect t.lock (fun () ->
+    List.find_map (fun (_, event, data) -> if event = "done" then Some data else None) j.events)
 
 let fold t f init =
   Mutex.protect t.lock (fun () ->
@@ -97,5 +102,5 @@ let counts t =
       match j.state with
       | Queued -> (q + 1, r, d)
       | Running -> (q, r + 1, d)
-      | Done _ -> (q, r, d + 1))
+      | Done -> (q, r, d + 1))
     (0, 0, 0)

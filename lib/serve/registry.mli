@@ -14,8 +14,10 @@ module Json = Qcec_json
 type state =
   | Queued
   | Running
-  | Done of Engine.Job.result
-      (** terminal — cancellations surface as a [Job.Cancelled] failure *)
+  | Done
+      (** terminal; the job's [qcec-result/v1] document is its [done]
+          event (see {!result}) — cancellations surface as a
+          [Job.Cancelled] failure *)
 
 type job = private
   { id : string
@@ -23,7 +25,8 @@ type job = private
   ; submitted : float  (** wall clock, [Unix.gettimeofday] *)
   ; control : Engine.Pool.control  (** cancel handle shared with the pool *)
   ; mutable state : state
-  ; mutable events : (int * string * Json.t) list
+  ; mutable events : (int * string * string) list
+        (** [(seq, event, data)], newest first; [data] is rendered JSON *)
   ; mutable seq : int
   }
 
@@ -45,14 +48,19 @@ val state : t -> job -> state
 val state_string : state -> string
 
 (** [emit t j ?state ~event data] appends one event, stamping the next
-    sequence number.  With [~state], the job moves to that state in the same
-    critical section, so a reader that sees the new state also sees the
-    event: a stream that observes [Done] always finds the [done] frame. *)
+    sequence number and rendering [data] once: a finished job keeps its
+    result only as the text of its [done] event.  With [~state], the job
+    moves to that state in the same critical section, so a reader that
+    sees the new state also sees the event: a stream that observes [Done]
+    always finds the [done] frame. *)
 val emit : t -> job -> ?state:state -> event:string -> Json.t -> unit
 
 (** [events_after t j ~seq] — events with sequence number [> seq], oldest
-    first. *)
-val events_after : t -> job -> seq:int -> (int * string * Json.t) list
+    first, with their data rendered. *)
+val events_after : t -> job -> seq:int -> (int * string * string) list
+
+(** [result t j] — the data of the job's [done] event, once it has one. *)
+val result : t -> job -> string option
 
 (** Fold over jobs in submission order. *)
 val fold : t -> ('a -> job -> 'a) -> 'a -> 'a

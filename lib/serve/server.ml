@@ -209,9 +209,9 @@ let job_json t (j : Registry.job) =
     ; ("events", Json.String (events_path j.id))
     ]
   in
-  match state with
-  | Registry.Done r -> Json.Obj (base @ [ ("result", Job.to_json r) ])
-  | _ -> Json.Obj base
+  match Registry.result t.registry j with
+  | Some text -> Json.Obj (base @ [ ("result", Json.of_string text) ])
+  | None -> Json.Obj base
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
@@ -251,7 +251,7 @@ let register_job t (spec : Job.spec) =
       t.job_metrics <- Obs.Metrics.merge [ t.job_metrics; r.Job.metrics ]);
     (* state and frame in one step: a stream that saw [Done] before the
        frame existed would close without it *)
-    Registry.emit t.registry j ~state:(Registry.Done r) ~event:"done" (Job.to_json r);
+    Registry.emit t.registry j ~state:Registry.Done ~event:"done" (Job.to_json r);
     logf t "job %s done: %s (%.3fs)" j.id (Job.exit_class r.Job.outcome) r.Job.duration
   in
   (j, control, on_done)
@@ -343,6 +343,22 @@ let handle_submit t fd peer (req : Http.request) =
 (* ------------------------------------------------------------------ *)
 (* Streaming                                                           *)
 
+(* stdlib [Condition] has no timed wait, so a stream polls its job at
+   20 Hz.  The first re-check comes at an offset within the interval drawn
+   from the job id, not a whole interval after the stream opened.  Were it
+   a whole interval, a short job still running when its stream opened
+   would have its [done] frame held for all of it, while one that had just
+   finished is answered at once: short-job latency would be a few ms or
+   50 ms, decided by a race of a millisecond.  With the offset that wait
+   is spread evenly over the interval, 25 ms on average, and the streams
+   of a burst of jobs re-check at different instants.  Waking streams on
+   a condition variable removes the wait altogether, but lets closed-loop
+   clients drive the engine harder, which raised job time and memory (see
+   ROADMAP). *)
+let poll_interval = 0.05
+
+let first_poll id = poll_interval *. float_of_int (1 + (Hashtbl.hash id mod 50)) /. 50.0
+
 let handle_events t fd (req : Http.request) (j : Registry.job) =
   let last =
     match Http.header req "last-event-id" with
@@ -355,43 +371,37 @@ let handle_events t fd (req : Http.request) (j : Registry.job) =
   Http.write_all fd (Http.stream_head ~content_type:"text/event-stream" ~status:200 ());
   let write_event (seq, name, data) =
     Http.write_all fd
-      (Sse.encode { Sse.id = Some seq; event = Some name; data = Json.to_string data })
+      (Sse.encode { Sse.id = Some seq; event = Some name; data })
   in
-  let rec loop seq last_write =
+  let rec loop ~wait seq last_write =
     let events = Registry.events_after t.registry j ~seq in
     if events <> [] then begin
       List.iter write_event events;
       let seq = List.fold_left (fun acc (s, _, _) -> max acc s) seq events in
       if List.exists (fun (_, name, _) -> name = "done") events then ()
-      else loop seq (Unix.gettimeofday ())
+      else loop ~wait seq (Unix.gettimeofday ())
     end
     else begin
       let terminal =
         match Registry.state t.registry j with
-        | Registry.Done _ -> seq >= j.Registry.seq
+        | Registry.Done -> seq >= j.Registry.seq
         | _ -> false
       in
       if not terminal then begin
         let now = Unix.gettimeofday () in
         let last_write =
-          if now -. last_write > Float.max t.cfg.heartbeat_interval 0.05 then begin
+          if now -. last_write > Float.max t.cfg.heartbeat_interval poll_interval then begin
             Http.write_all fd (Sse.comment "keep-alive");
             now
           end
           else last_write
         in
-        (* stdlib [Condition] has no timed wait, so the stream polls at
-           20 Hz.  The poll dominates a short job's latency: the [done]
-           frame goes out at the next tick, up to 50 ms after the job
-           finished.  Waking streams on a condition variable removes that
-           wait, but lets closed-loop clients drive the engine harder,
-           which raised job time and memory (see ROADMAP). *)
-        Thread.delay 0.05;
-        loop seq last_write
+        Thread.delay wait;
+        loop ~wait:poll_interval seq last_write
       end
     end
   in
-  loop last (Unix.gettimeofday ())
+  loop ~wait:(first_poll j.Registry.id) last (Unix.gettimeofday ())
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -462,7 +472,7 @@ let route t fd peer (req : Http.request) =
   | "DELETE", [ "v1"; "jobs"; id ] ->
     let j = find_job t id in
     (match Registry.state t.registry j with
-     | Registry.Done _ -> reject 409 "finished" (Printf.sprintf "job %s already finished" id)
+     | Registry.Done -> reject 409 "finished" (Printf.sprintf "job %s already finished" id)
      | _ ->
        Pool.cancel j.Registry.control;
        logf t "job %s cancellation requested" id;

@@ -59,6 +59,11 @@ type t
     as [EPIPE]).  Raises [Unix.Unix_error] if the bind fails. *)
 val start : config -> t
 
+(** [first_poll id] is how long the event stream of job [id] waits before
+    its first re-check, in seconds: an offset in (0, 0.05] drawn from the
+    id.  Later re-checks follow every 0.05 s. *)
+val first_poll : string -> float
+
 (** The bound port (useful with [port = 0]). *)
 val port : t -> int
 

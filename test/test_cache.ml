@@ -268,6 +268,42 @@ let test_shared_tier () =
   Shared.clear t;
   Alcotest.(check int) "clear empties the tier" 0 (Shared.size t)
 
+(* Publishing replaces one bucket and the table doubles as it fills: every
+   binding stays visible across the growth steps, also to readers on other
+   domains that run during them. *)
+let test_shared_growth () =
+  let t = Shared.create () in
+  let n = 5000 in
+  let published = Atomic.make 0 in
+  let readers =
+    List.init 2 (fun r ->
+      Domain.spawn (fun () ->
+        let ok = ref true and st = Random.State.make [| r |] in
+        while Atomic.get published < n do
+          let w = Atomic.get published in
+          if w > 0 then begin
+            let k = Random.State.int st w in
+            ok := !ok && Shared.find t k = Some (2 * k);
+            ok := !ok && Shared.find t (w - 1) = Some (2 * (w - 1))
+          end
+        done;
+        !ok))
+  in
+  for k = 0 to n - 1 do
+    Shared.publish t k (2 * k);
+    Atomic.set published (k + 1)
+  done;
+  List.iter
+    (fun d -> Alcotest.(check bool) "readers found every published key" true (Domain.join d))
+    readers;
+  Alcotest.(check int) "size" n (Shared.size t);
+  Alcotest.(check bool) "every binding after growth" true
+    (List.for_all (fun k -> Shared.find t k = Some (2 * k)) (List.init n Fun.id));
+  Shared.publish t 7 0;
+  Alcotest.(check int) "replacing keeps the size" n (Shared.size t);
+  Alcotest.(check (option int)) "replaced" (Some 0) (Shared.find t 7);
+  Alcotest.(check (option int)) "absent key" None (Shared.find t n)
+
 (* -- cache-aware verification -------------------------------------------- *)
 
 let test_verify_with_cache () =
@@ -398,6 +434,8 @@ let suite =
       test_store_crash_recovery
   ; Alcotest.test_case "shared tier: lock-free reads, last write wins" `Quick
       test_shared_tier
+  ; Alcotest.test_case "shared tier: growth keeps every binding visible" `Quick
+      test_shared_growth
   ; Alcotest.test_case "Verify serves and fills the store" `Quick
       test_verify_with_cache
   ; Alcotest.test_case "engine short-circuits duplicate pairs" `Quick

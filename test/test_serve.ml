@@ -117,20 +117,8 @@ let test_sse_roundtrip () =
 let test_registry_retain () =
   let module R = Serve.Registry in
   let r = R.create ~retain:2 () in
-  let result i =
-    { Job.index = i
-    ; label = "j"
-    ; files_checked = None
-    ; outcome = Job.Failed { reason = Job.Cancelled; message = "test" }
-    ; duration = 0.0
-    ; attempts = 1
-    ; worker = 0
-    ; seed = None
-    ; metrics = []
-    }
-  in
   let jobs = Array.init 6 (fun _ -> R.add r ~label:"j" ~control:(Pool.control ())) in
-  let finish i = R.emit r jobs.(i) ~state:(R.Done (result i)) ~event:"done" Json.Null in
+  let finish i = R.emit r jobs.(i) ~state:R.Done ~event:"done" (Json.Int i) in
   let known i = R.find r jobs.(i).R.id <> None in
   R.emit r jobs.(1) ~state:R.Running ~event:"started" Json.Null;
   finish 2;
@@ -149,13 +137,42 @@ let test_registry_retain () =
   (* an evicted job's record still serves a stream that holds it *)
   Alcotest.(check int) "evicted events readable" 1
     (List.length (R.events_after r jobs.(3) ~seq:0));
+  (* a finished job's result is the rendered data of its done event *)
+  Alcotest.(check (option string)) "result of a finished job" (Some "4") (R.result r jobs.(4));
+  Alcotest.(check (option string)) "no result while queued" None (R.result r jobs.(5));
   (* many more jobs: the table stays at the queued ones plus two *)
   for _ = 1 to 50 do
     let j = R.add r ~label:"k" ~control:(Pool.control ()) in
-    R.emit r j ~state:(R.Done (result 0)) ~event:"done" Json.Null
+    R.emit r j ~state:R.Done ~event:"done" Json.Null
   done;
   Alcotest.(check (triple int int int)) "counts after churn" (2, 0, 2) (R.counts r);
   Alcotest.(check int) "listing after churn" 4 (R.fold r (fun n _ -> n + 1) 0)
+
+(* -- event streams: first re-check -------------------------------------- *)
+
+(* Each job's stream takes its first re-check at an offset inside the
+   50 ms poll interval, drawn from the id: the same for the same id, and
+   spread over the whole interval across consecutive ids. *)
+let test_first_poll () =
+  let interval = 0.05 in
+  let ids = List.init 1000 (fun i -> Printf.sprintf "job-%06d" (i + 1)) in
+  let offsets = List.map Server.first_poll ids in
+  List.iter
+    (fun o -> Alcotest.(check bool) "inside (0, 50 ms]" true (o > 0.0 && o <= interval))
+    offsets;
+  Alcotest.(check (float 0.0)) "same id, same offset" (Server.first_poll "job-000042")
+    (Server.first_poll "job-000042");
+  let fifths = Array.make 5 0 in
+  List.iter
+    (fun o ->
+      let k = min 4 (int_of_float (5.0 *. o /. interval)) in
+      fifths.(k) <- fifths.(k) + 1)
+    offsets;
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool) (Printf.sprintf "fifth %d holds 10-30%% of the ids (%d)" k n) true
+        (n >= 100 && n <= 300))
+    fifths
 
 (* -- token bucket ------------------------------------------------------ *)
 
@@ -589,6 +606,8 @@ let suite =
   ; Alcotest.test_case "limiter: token-bucket accounting" `Quick test_limiter
   ; Alcotest.test_case "registry: keeps only the newest finished jobs" `Quick
       test_registry_retain
+  ; Alcotest.test_case "sse: first re-check spread over the poll interval" `Quick
+      test_first_poll
   ; Alcotest.test_case "e2e: submit, poll, verdict parity, warm cache" `Slow
       test_e2e_submit_poll_verdict
   ; Alcotest.test_case "e2e: SSE progress stream" `Slow test_e2e_sse_stream
